@@ -23,6 +23,7 @@ from .pointproc import (
     sample_iid,
     sample_poisson,
     substream,
+    uniform_box,
 )
 from .enumeration import (
     GLOBAL,

@@ -3,9 +3,10 @@
 A simplex on vertices Y belongs to the Cech complex at radius eps iff
 the smallest enclosing ball of Y has radius at most eps (equivalently,
 the eps-balls around Y have a common point).  The complex is built by
-expanding cliques of the 2*eps proximity graph level by level, filtering
-each level by the miniball radius, so every simplex certificate is
-checked exactly.
+expanding cliques of the 2*eps proximity graph level by level with the
+lower-neighbor expander that enumeration uses (``expand_cliques``, on
+k-d tree pairs), filtering each level by the miniball radius, so every
+simplex certificate is checked exactly.
 
 Betti numbers are computed over GF(2) by Gaussian elimination on
 boundary matrices (columns stored as bitmasks); beta_0 is cross-checked
@@ -23,7 +24,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .geometry import TAU_GEOM, min_enclosing_radii_batch
-from .enumeration import CliqueBudgetExceeded
+from .enumeration import CliqueBudgetExceeded, close_pairs, expand_cliques
 from .pointproc import PointCloud
 
 MAX_SIMPLICES = 2_000_000
@@ -89,9 +90,7 @@ def build_cech(cloud, eps: float, dim_cap: int | None = None,
     if n < 2:
         return cx
     tree = cKDTree(points)
-    pairs = tree.query_pairs(2.0 * eps + 2.0 * TAU_GEOM, output_type="ndarray")
-    pairs = np.sort(pairs.astype(np.int64), axis=1)
-    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    pairs = close_pairs(tree, 2.0 * eps + 2.0 * TAU_GEOM)
     # edge certificate: miniball radius = half the edge length
     radii = 0.5 * np.linalg.norm(points[pairs[:, 0]] - points[pairs[:, 1]], axis=1)
     edges = pairs[radii <= eps + TAU_GEOM]
@@ -99,9 +98,6 @@ def build_cech(cloud, eps: float, dim_cap: int | None = None,
     if len(edges) == 0:
         return cx
     cx.simplices[1] = edges
-    higher = [0] * n  # bitmask of neighbors with larger index
-    for i, j in edges:
-        higher[int(i)] |= 1 << int(j)
     level, level_radii = edges, radii
     j = 1
     while len(level) > 0:
@@ -111,7 +107,7 @@ def build_cech(cloud, eps: float, dim_cap: int | None = None,
             )
         at_cap = dim_cap is not None and j >= dim_cap
         try:
-            nxt, parents = _expand_with_parents(level, higher, max_simplices)
+            nxt, parents = expand_cliques(level, edges, n, max_simplices)
         except CliqueBudgetExceeded as exc:
             if at_cap:
                 # probing past the cap only decides the truncation flag;
@@ -134,36 +130,6 @@ def build_cech(cloud, eps: float, dim_cap: int | None = None,
         cx.simplices[j] = nxt
         level, level_radii = nxt, nxt_radii
     return cx
-
-
-def _expand_with_parents(level: np.ndarray, higher: list, max_new: int):
-    """Extend cliques by one vertex, tracking the parent row index.
-
-    ``higher`` holds per-vertex bitmasks of larger-index neighbors, so
-    the common extensions of a clique are the AND of its members' masks.
-    """
-    rows, parents = [], []
-    for idx, simplex in enumerate(level):
-        common = higher[simplex[0]]
-        for v in simplex[1:]:
-            common &= higher[v]
-            if not common:
-                break
-        while common:
-            low = common & -common
-            rows.append((*simplex, low.bit_length() - 1))
-            parents.append(idx)
-            common ^= low
-        if len(rows) > max_new:
-            raise CliqueBudgetExceeded(
-                f"clique expansion produced more than {max_new} simplices"
-            )
-    if not rows:
-        return (
-            np.empty((0, level.shape[1] + 1), dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-        )
-    return np.asarray(rows, dtype=np.int64), np.asarray(parents, dtype=np.int64)
 
 
 def _incremental_miniball_radii(points, simplices, parent_radii,

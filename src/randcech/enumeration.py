@@ -10,21 +10,25 @@ cloud points themselves.
 Three enumeration paths produce identical results:
 
 * ``enumerate_brute``   -- exhaustive over all (k+1)-subsets; the oracle.
-* ``enumerate_grid``    -- candidate subsets pruned by a uniform grid
-  (any subset with circumradius <= eps has diameter <= 2 eps).
+* ``enumerate_grid``    -- any subset with circumradius <= eps has
+  diameter <= 2 eps, so candidates are the cliques of the 2 eps
+  proximity graph: pairs from a k-d tree (``close_pairs``), larger
+  cliques from the lower-neighbor expander ``expand_cliques``, which
+  ``cech`` shares.
 * Delaunay pruning      -- any subset whose open circumball is empty is
   a face of the Delaunay complex, so for large clouds candidates can be
   drawn from Delaunay faces instead (d <= 3, via scipy/Qhull).
 
 CP2 is verified against the full cloud in every path, so the pruning
-strategy only affects speed, never the result.
+strategy only affects speed, never the result.  Candidates stay arrays
+until the tie rule builds ``CriticalPoint`` objects for those emitted.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import Delaunay, QhullError, cKDTree
@@ -34,12 +38,10 @@ from .pointproc import PointCloud
 
 GLOBAL = math.inf
 
-# Quantization step for deduplicating coincident critical points.
-DEDUP_QUANTUM = 1e-7
-
 BRUTE_CAP_RESTRICTED = 300
 BRUTE_CAP_GLOBAL = 25
 GLOBAL_CAP = 200_000
+CLIQUE_CHUNK = 1 << 18  # candidate rows built at a time by expand_cliques
 
 
 class OracleCapExceeded(ValueError):
@@ -74,132 +76,63 @@ class CriticalCounts:
 
 
 # ---------------------------------------------------------------------------
-# uniform grid candidate generation
+# candidate generation: close pairs and their cliques
 
 
-def grid_pairs(points: np.ndarray, rmax: float, cell: float | None = None):
-    """Index pairs (i, j), i < j, with ||x_i - x_j|| <= rmax.
+def close_pairs(tree: cKDTree, r: float) -> np.ndarray:
+    """Index pairs (i, j), i < j, at distance <= r, in lexicographic order."""
+    n = tree.n
+    pairs = tree.query_pairs(r, output_type="ndarray").astype(np.int64)
+    keys = np.sort(pairs.min(axis=1) * n + pairs.max(axis=1))
+    return np.stack(np.divmod(keys, n), axis=1)
 
-    Points are bucketed into a uniform grid (cell side rmax/2 by
-    default, i.e. eps when rmax = 2 eps); candidate pairs are drawn from
-    cells within the matching Chebyshev neighborhood and then filtered
-    by exact distance.
+
+def expand_cliques(level: np.ndarray, edges: np.ndarray, n: int,
+                   max_new: int | None = None):
+    """Extend the cliques of a graph by one vertex.
+
+    ``edges`` holds the graph's edges (i, j), i < j, in lexicographic
+    order; ``level`` holds sorted cliques, one per row.  Each clique is
+    extended by every higher neighbor w of its last vertex that is
+    adjacent to all its other vertices (lower-neighbor expansion), so a
+    lexicographically sorted level gives a sorted next level.  Returns
+    the next level and, per row, the row of ``level`` it extends.
+
+    Candidates are built ``CLIQUE_CHUNK`` rows at a time, and ``max_new``
+    aborts a combinatorial blow-up once more rows than that are kept.
     """
-    points = np.asarray(points, dtype=float)
-    n, d = points.shape
-    empty = np.empty((0, 2), dtype=np.int64)
-    if n < 2 or rmax <= 0:
-        return empty
-    if cell is None:
-        cell = rmax / 2.0
-    cidx = np.floor(points / cell).astype(np.int64)
-    cidx -= cidx.min(axis=0)
-    dims = cidx.max(axis=0) + 1
-    strides = np.concatenate([[1], np.cumprod(dims[:-1])]).astype(np.int64)
-    key = cidx @ strides
-    order = np.argsort(key, kind="stable")
-    skey = key[order]
-    ukeys, starts, counts = np.unique(skey, return_index=True, return_counts=True)
-    urep = cidx[order[starts]]
-
-    out_i, out_j = [], []
-
-    # within-cell pairs
-    multi = np.nonzero(counts >= 2)[0]
-    for c in multi:
-        members = order[starts[c] : starts[c] + counts[c]]
-        ii, jj = np.triu_indices(len(members), k=1)
-        out_i.append(members[ii])
-        out_j.append(members[jj])
-
-    # cross-cell pairs: lexicographically positive offsets only, so each
-    # unordered cell pair is visited once
-    q = int(np.ceil(rmax / cell - 1e-12))
-    offsets = [
-        o
-        for o in itertools.product(range(-q, q + 1), repeat=d)
-        if next((v for v in o if v != 0), 0) > 0
-    ]
-    for o in offsets:
-        nc = urep + np.asarray(o, dtype=np.int64)
-        valid = np.all((nc >= 0) & (nc < dims), axis=1)
-        if not np.any(valid):
-            continue
-        nkey = nc[valid] @ strides
-        pos = np.searchsorted(ukeys, nkey)
-        pos = np.minimum(pos, len(ukeys) - 1)
-        found = ukeys[pos] == nkey
-        a_cells = np.nonzero(valid)[0][found]
-        b_cells = pos[found]
-        if len(a_cells) == 0:
-            continue
-        la, lb = counts[a_cells], counts[b_cells]
-        tot = la * lb
-        total = int(tot.sum())
-        if total == 0:
-            continue
-        pair_id = np.repeat(np.arange(len(a_cells)), tot)
-        base = np.concatenate([[0], np.cumsum(tot)[:-1]])
-        within = np.arange(total) - base[pair_id]
-        ai = within // lb[pair_id]
-        bi = within % lb[pair_id]
-        out_i.append(order[starts[a_cells][pair_id] + ai])
-        out_j.append(order[starts[b_cells][pair_id] + bi])
-
-    if not out_i:
-        return empty
-    i = np.concatenate(out_i)
-    j = np.concatenate(out_j)
-    keep = np.linalg.norm(points[i] - points[j], axis=1) <= rmax
-    i, j = i[keep], j[keep]
-    lo, hi = np.minimum(i, j), np.maximum(i, j)
-    return np.stack([lo, hi], axis=1)
-
-
-def expand_clique_level(simplices: np.ndarray, higher_nbrs: list,
-                        max_new: int | None = None) -> np.ndarray:
-    """Expand j-cliques to (j+1)-cliques of the pair graph.
-
-    ``higher_nbrs[v]`` is the set of neighbors of v with index > v;
-    candidates for extending a clique are common higher neighbors of
-    all its vertices beyond the last one.  ``max_new`` aborts a
-    combinatorial blow-up before it exhausts memory.
-    """
-    if len(simplices) == 0:
-        return np.empty((0, simplices.shape[1] + 1), dtype=np.int64)
-    rows = []
-    for simplex in simplices:
-        common = higher_nbrs[simplex[0]]
-        for v in simplex[1:]:
-            common = common & higher_nbrs[v]
-            if not common:
-                break
-        last = simplex[-1]
-        for w in common:
-            if w > last:
-                rows.append((*simplex, w))
-        if max_new is not None and len(rows) > max_new:
+    m, size = level.shape
+    if m == 0 or len(edges) == 0:
+        return np.empty((0, size + 1), dtype=np.int64), np.empty(0, dtype=np.int64)
+    keys = edges[:, 0] * n + edges[:, 1]
+    indptr = np.searchsorted(edges[:, 0], np.arange(n + 1))
+    last = level[:, -1]
+    first = indptr[last]
+    degree = indptr[last + 1] - first
+    ends = np.cumsum(degree)
+    rows, parents, kept = [], [], 0
+    lo = 0
+    while lo < m:
+        done = ends[lo - 1] if lo else 0
+        hi = max(int(np.searchsorted(ends, done + CLIQUE_CHUNK, side="right")), lo + 1)
+        deg = degree[lo:hi]
+        parent = np.repeat(np.arange(lo, hi), deg)
+        offset = np.arange(len(parent)) - np.repeat(ends[lo:hi] - deg - done, deg)
+        w = edges[first[parent] + offset, 1]
+        for col in range(size - 1):
+            key = level[parent, col] * n + w
+            pos = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
+            adjacent = keys[pos] == key
+            parent, w = parent[adjacent], w[adjacent]
+        kept += len(parent)
+        if max_new is not None and kept > max_new:
             raise CliqueBudgetExceeded(
                 f"clique expansion produced more than {max_new} simplices"
             )
-    if not rows:
-        return np.empty((0, simplices.shape[1] + 1), dtype=np.int64)
-    return np.asarray(rows, dtype=np.int64)
-
-
-def clique_subsets(n: int, pairs: np.ndarray, max_size: int) -> dict:
-    """All cliques of the pair graph, by size, up to max_size vertices."""
-    out = {2: pairs}
-    higher = [set() for _ in range(n)]
-    for i, j in pairs:
-        higher[int(i)].add(int(j))
-    level = pairs
-    for size in range(3, max_size + 1):
-        level = expand_clique_level(level, higher)
-        out[size] = level
-        if len(level) == 0:
-            break
-    return out
+        rows.append(np.column_stack([level[parent], w]))
+        parents.append(parent)
+        lo = hi
+    return np.concatenate(rows), np.concatenate(parents)
 
 
 def delaunay_subsets(points: np.ndarray, k_max: int) -> dict:
@@ -224,25 +157,15 @@ def delaunay_subsets(points: np.ndarray, k_max: int) -> dict:
 # candidate evaluation
 
 
-@dataclass
-class _Candidate:
-    k: int
-    center: np.ndarray
-    value: float
-    generators: tuple
-    strict: bool
-
-
 def _evaluate_batch(points, subsets, eps, tree, keep_weak=True):
     """Apply CP1-CP3 to an (m, k+1) array of candidate subsets.
 
-    Returns passing candidates (CP2, CP3 and at least the relaxed hull
-    test); ``strict`` marks genuine CP1 passes, relaxed-only passes are
+    Returns the passing candidates (CP2, CP3 and at least the relaxed
+    hull test) as arrays ``(subsets, centers, radii, strict)``;
+    ``strict`` marks genuine CP1 passes, relaxed-only passes are
     retained for the cospherical tie rule.
     """
     subsets = np.asarray(subsets, dtype=np.int64)
-    if subsets.size == 0:
-        return []
     centers, radii, bary, ok = circumspheres_batch(points[subsets])
     strict = ok & np.all(bary > TAU_HULL, axis=1)
     weak = ok & np.all(bary > -TAU_GEOM, axis=1)
@@ -250,52 +173,69 @@ def _evaluate_batch(points, subsets, eps, tree, keep_weak=True):
     if eps is not None and np.isfinite(eps):
         mask = mask & (radii <= eps + TAU_GEOM)
     idx = np.nonzero(mask)[0]
-    if len(idx) == 0:
-        return []
-    # CP2: the nearest cloud point to the center must be no closer than
-    # R - tau (the generators themselves lie at distance exactly R).
-    dmin, _ = tree.query(centers[idx], k=1)
-    cp2 = dmin >= radii[idx] - TAU_GEOM
-    idx = idx[cp2]
-    return [
-        _Candidate(
-            k=subsets.shape[1] - 1,
-            center=centers[i],
-            value=float(radii[i]),
-            generators=tuple(int(v) for v in subsets[i]),
-            strict=bool(strict[i]),
-        )
-        for i in idx
-    ]
+    if len(idx):
+        # CP2: the nearest cloud point to the center must be no closer
+        # than R - tau (the generators themselves lie at distance exactly R).
+        dmin, _ = tree.query(centers[idx], k=1)
+        idx = idx[dmin >= radii[idx] - TAU_GEOM]
+    return subsets[idx], centers[idx], radii[idx], strict[idx]
 
 
-def _resolve_ties(points: np.ndarray, candidates: list) -> list:
-    """Collapse cospherical degeneracies.
+def _resolve_ties(points: np.ndarray, batches: list) -> list:
+    """Collapse cospherical degeneracies and build the critical points.
 
-    Candidates are grouped by quantized (center, value).  A group emits
-    a single critical point iff some member passes the strict open-hull
-    test; degenerate groups (several generating subsets sharing one
-    center) emit one point whose index is the affine dimension of the
-    union of the generators.
+    ``batches`` are outputs of ``_evaluate_batch``.  Two candidates tie
+    when their values and centers both agree within ``TAU_GEOM`` times
+    the value.  A group of tied candidates emits a single critical
+    point iff some member passes the strict open-hull test; a group of
+    several generating subsets sharing one center emits one point whose
+    index is the affine dimension of the union of the generators.
+    Candidates are sorted by value once; only runs of near-equal values
+    are grouped, in Python.
     """
-    groups: dict = {}
-    for cand in candidates:
-        qc = tuple(np.round(cand.center / DEDUP_QUANTUM).astype(np.int64))
-        qv = int(round(cand.value / DEDUP_QUANTUM))
-        groups.setdefault((qc, qv), []).append(cand)
+    batches = [b for b in batches if len(b[0])]
+    if not batches:
+        return []
+    # One row per candidate: its generators, padded with -1.
+    width = max(b[0].shape[1] for b in batches)
+    gens = np.concatenate([np.pad(b[0], ((0, 0), (0, width - b[0].shape[1])),
+                                  constant_values=-1) for b in batches])
+    centers = np.concatenate([b[1] for b in batches])
+    values = np.concatenate([b[2] for b in batches])
+    strict = np.concatenate([b[3] for b in batches])
+
+    order = np.argsort(values, kind="stable")
+    v = values[order]
+    near = np.diff(v) <= TAU_GEOM * v[1:]
+    tied = np.zeros(len(v), dtype=bool)
+    tied[:-1] |= near
+    tied[1:] |= near
+    single = order[~tied & strict[order]]
     out = []
-    for members in groups.values():
-        strict_members = [c for c in members if c.strict]
-        if not strict_members:
-            continue
-        if len(members) == 1:
-            c = members[0]
-            out.append(CriticalPoint(c.k, c.center.copy(), c.value, c.generators))
-            continue
-        union = sorted(set(itertools.chain.from_iterable(m.generators for m in members)))
-        index = affine_rank(points[union])
-        rep = strict_members[0]
-        out.append(CriticalPoint(index, rep.center.copy(), rep.value, tuple(union)))
+    for row, c, r in zip(gens[single].tolist(), centers[single], values[single].tolist()):
+        g = tuple(x for x in row if x >= 0)
+        out.append(CriticalPoint(len(g) - 1, c, r, g))
+    run_id = np.cumsum(np.concatenate([[True], ~near]))[tied]
+    for run in np.split(order[tied], np.nonzero(np.diff(run_id))[0] + 1):
+        groups: list = []
+        for i in run.tolist():
+            tol = TAU_GEOM * values[i]
+            for group in groups:
+                j = group[0]
+                if (abs(values[i] - values[j]) <= tol
+                        and np.linalg.norm(centers[i] - centers[j]) <= tol):
+                    group.append(i)
+                    break
+            else:
+                groups.append([i])
+        for group in groups:
+            strict_members = [i for i in group if strict[i]]
+            if not strict_members:
+                continue
+            rep = min(strict_members)
+            union = tuple(sorted(set(gens[group].ravel().tolist()) - {-1}))
+            index = len(union) - 1 if len(group) == 1 else affine_rank(points[list(union)])
+            out.append(CriticalPoint(index, centers[rep].copy(), float(values[rep]), union))
     out.sort(key=lambda c: (c.index, c.value, c.generators))
     return out
 
@@ -320,7 +260,7 @@ def is_generating(generators, cloud, eps=GLOBAL) -> bool:
         raise ValueError("generator indices must be distinct")
     tree = cKDTree(points)
     e = None if eps is None or math.isinf(eps) else float(eps)
-    found = _evaluate_batch(points, subset[None, :], e, tree, keep_weak=False)
+    found, _, _, _ = _evaluate_batch(points, subset[None, :], e, tree, keep_weak=False)
     return len(found) == 1
 
 
@@ -344,28 +284,23 @@ def enumerate_brute(cloud, eps=GLOBAL, k_max=None, cap=None):
         raise OracleCapExceeded(f"n={n} exceeds brute-force cap {limit}")
     e = None if is_global else float(eps)
     tree = cKDTree(points)
-    candidates = []
+    batches = []
     for k in range(1, k_max + 1):
         combos = itertools.combinations(range(n), k + 1)
         while True:
             chunk = np.array(list(itertools.islice(combos, 100_000)), dtype=np.int64)
             if chunk.size == 0:
                 break
-            candidates.extend(_evaluate_batch(points, chunk, e, tree))
-    return _minima(points) + _resolve_ties(points, candidates)
-
-
-def _grid_candidates(points, eps, k_max):
-    pairs = grid_pairs(points, 2.0 * eps + 2.0 * TAU_GEOM, cell=eps)
-    return clique_subsets(len(points), pairs, k_max + 1)
+            batches.append(_evaluate_batch(points, chunk, e, tree))
+    return _minima(points) + _resolve_ties(points, batches)
 
 
 def enumerate_grid(cloud, eps, k_max=None, candidates="auto"):
     """Radius-restricted enumeration, identical in output to the oracle.
 
-    ``candidates`` picks the pruning strategy: "grid" (uniform grid,
-    subsets of diameter <= 2 eps), "delaunay" (faces of the Delaunay
-    complex, d <= 3), or "auto".
+    ``candidates`` picks the pruning strategy: "grid" (cliques of the
+    2 eps proximity graph, i.e. subsets of diameter <= 2 eps),
+    "delaunay" (faces of the Delaunay complex, d <= 3), or "auto".
     """
     points = _as_points(cloud)
     if len(points) == 0:
@@ -379,16 +314,15 @@ def enumerate_grid(cloud, eps, k_max=None, candidates="auto"):
     strategy = _pick_strategy(points, eps, candidates)
     tree = cKDTree(points)
     if strategy == "delaunay":
-        subsets = delaunay_subsets(points, k_max)
+        subsets = list(delaunay_subsets(points, k_max).values())
     else:
         e = eps if eps is not None else _global_radius_bound(points, tree)
-        subsets = _grid_candidates(points, e, k_max)
-    cands = []
-    for size, arr in subsets.items():
-        if size - 1 > k_max or len(arr) == 0:
-            continue
-        cands.extend(_evaluate_batch(points, arr, eps, tree))
-    return _minima(points) + _resolve_ties(points, cands)
+        pairs = close_pairs(tree, 2.0 * e + 2.0 * TAU_GEOM)
+        subsets = [pairs]
+        while len(subsets) < k_max and len(subsets[-1]):
+            subsets.append(expand_cliques(subsets[-1], pairs, len(points))[0])
+    batches = [_evaluate_batch(points, arr, eps, tree) for arr in subsets[:k_max] if len(arr)]
+    return _minima(points) + _resolve_ties(points, batches)
 
 
 def _pick_strategy(points, eps, candidates) -> str:

@@ -86,26 +86,18 @@ def circumsphere(points, tol: float = TAU_GEOM) -> CircumSphere:
     """Center and radius of the unique (k-1)-sphere through k+1 points.
 
     The center is the point of the affine hull equidistant from all
-    inputs, found by solving the k x k Gram system of the equidistance
-    conditions in offset coordinates.
+    inputs: ``circumspheres_batch`` on a single tuple.
     """
     points = np.asarray(points, dtype=float)
     k = len(points) - 1
     if k == 0:
         return CircumSphere(points[0].copy(), 0.0, 0)
-    v = points[1:] - points[0]  # (k, d)
-    gram = v @ v.T
-    rhs = 0.5 * np.einsum("ij,ij->i", v, v)
-    s = np.linalg.svd(gram, compute_uv=False)
-    if s[-1] <= tol * max(1.0, s[0]) or s[0] / max(s[-1], 1e-300) > 1.0 / tol:
+    centers, radii, _, ok = circumspheres_batch(points[None], tol)
+    if not ok[0]:
         raise DegenerateConfiguration(
-            "circumsphere system conditioning exceeds 1/tau_geom"
+            "circumsphere points are affinely dependent within tau_geom"
         )
-    w = np.linalg.solve(gram, rhs)
-    offset = w @ v
-    center = points[0] + offset
-    radius = float(np.linalg.norm(offset))
-    return CircumSphere(center, radius, k)
+    return CircumSphere(centers[0], float(radii[0]), k)
 
 
 def barycentric_coordinates(c, points) -> np.ndarray:
@@ -144,8 +136,9 @@ def circumspheres_batch(stacks: np.ndarray, tol: float = TAU_GEOM):
     Returns
     -------
     centers : (m, d); radii : (m,); bary : (m, k+1); ok : (m,) bool
-        ``ok`` is False where the tuple fails the general-position rank
-        test; the other outputs are undefined there.
+        ``ok`` is False where the smallest singular value of the offsets
+        is at most ``tol`` times the largest (the cutoff of
+        ``circumsphere``); the other outputs are undefined there.
     """
     stacks = np.asarray(stacks, dtype=float)
     m, kp1, d = stacks.shape
@@ -159,14 +152,22 @@ def circumspheres_batch(stacks: np.ndarray, tol: float = TAU_GEOM):
         )
     v = stacks[:, 1:, :] - stacks[:, :1, :]  # (m, k, d)
     gram = v @ np.swapaxes(v, 1, 2)  # (m, k, k)
-    # Eigenvalues of the Gram matrix are squared singular values of v.
+    # Eigenvalues of the Gram matrix are squared singular values of v, but
+    # resolve their ratio only down to sqrt(machine epsilon): rows that
+    # fail this coarse test get the exact one on the singular values, and
+    # are solved through them, as in ``circumsphere``.
     eig = np.linalg.eigvalsh(gram)
-    eig = np.maximum(eig, 0.0)
-    # Rank test with absolute cutoff tol on singular values.
-    ok = eig[:, 0] > tol**2
+    ok = eig[:, 0] > tol * eig[:, -1]
     rhs = 0.5 * np.einsum("mij,mij->mi", v, v)
     gram_safe = np.where(ok[:, None, None], gram, np.eye(k)[None])
     w = np.linalg.solve(gram_safe, rhs[..., None])[..., 0]
+    low = np.nonzero(~ok)[0]
+    if k <= d and len(low):
+        u, s, _ = np.linalg.svd(v[low], full_matrices=False)
+        thin = s[:, -1] > tol * s[:, 0]
+        ok[low] = thin
+        ut_rhs = np.einsum("mji,mj->mi", u[thin], rhs[low[thin]])
+        w[low[thin]] = np.einsum("mij,mj->mi", u[thin], ut_rhs / s[thin] ** 2)
     offsets = np.einsum("mi,mij->mj", w, v)
     centers = stacks[:, 0, :] + offsets
     radii = np.linalg.norm(offsets, axis=1)

@@ -169,6 +169,15 @@ def test_complex_too_large():
         build_cech(cloud.points, 2.0, max_simplices=500)
 
 
+def test_complex_too_large_when_all_points_are_close():
+    """200 points within eps of each other: every subset is a simplex, and
+    the budget stops the build at once."""
+    cloud = sample_iid(uniform_box(2), 200, substream(303, 2))
+    for max_simplices in (10_000, 50_000):
+        with pytest.raises(ComplexTooLarge):
+            build_cech(cloud.points * 0.1, 1.0, max_simplices=max_simplices)
+
+
 def test_betti_budget_exceeded():
     rng = substream(303, 1)
     cloud = sample_iid(uniform_box(2), 35, rng)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from randcech.cli import main
-from randcech.pointproc import sample_iid, save_cloud_csv, substream, uniform_box
+from randcech.pointproc import PointCloud, sample_iid, save_cloud_csv, substream, uniform_box
 
 
 @pytest.fixture
@@ -31,6 +31,18 @@ def test_enumerate_global_alternating_sum(capsys, tmp_path):
     code = main(["enumerate", "--density", "uniform_box", "--n", "15",
                  "--d", "2", "--seed", "4", "--global"])
     assert code == 0
+    assert "alternating sum: 1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("points", [
+    [(0, 0), (1, 0), (2, 0), (3, 0)],
+    [(x, y) for x in range(4) for y in range(4)],
+], ids=["collinear", "lattice"])
+def test_enumerate_global_degenerate_cloud(points, capsys, tmp_path):
+    pts = np.asarray(points, dtype=float)
+    path = tmp_path / "cloud.csv"
+    save_cloud_csv(PointCloud(2, pts), path)
+    assert main(["enumerate", "--cloud", str(path), "--global"]) == 0
     assert "alternating sum: 1" in capsys.readouterr().out
 
 

@@ -1,6 +1,8 @@
 """Critical-point enumeration: hand examples, oracle equivalence across the
-brute / grid / Delaunay candidate paths, caps, tie rule, serialization."""
+brute / grid / Delaunay candidate paths, the shared clique expander, caps,
+tie rule, degenerate input, serialization."""
 
+import itertools
 import math
 
 import numpy as np
@@ -8,20 +10,25 @@ import pytest
 
 from randcech.enumeration import (
     GLOBAL,
+    CliqueBudgetExceeded,
     GlobalCapExceeded,
     OracleCapExceeded,
+    close_pairs,
     count_index1,
     counts,
     critical_values_by_index,
     enumerate_brute,
     enumerate_global,
     enumerate_grid,
+    expand_cliques,
     is_generating,
     load_critical_csv,
     save_critical_csv,
     verify_critical_point,
 )
+from randcech.cech import build_cech, euler_characteristic
 from randcech.pointproc import PointCloud, sample_iid, substream, uniform_box
+from scipy.spatial import cKDTree
 
 
 def cloud_of(points):
@@ -67,6 +74,46 @@ def test_square_tie_rule():
     cps = enumerate_global(cloud_of([(0, 0), (1, 0), (0, 1), (1, 1)]))
     cc = counts(cps, 4, GLOBAL, 2)
     assert list(cc.by_index) == [4, 4, 1]
+    assert cc.alternating_sum() == 1
+
+
+def test_near_right_triangle_keeps_gabriel_edge():
+    """The circumcenter lies 1e-8 above the midpoint of the Gabriel base
+    edge: the edge and the triangle are two critical points, not a tie."""
+    cps = enumerate_global(cloud_of([(0, 0), (1, 0), (0.5, 0.5 + 1e-8)]))
+    assert list(counts(cps, 3, GLOBAL, 2).by_index) == [3, 3, 1]
+
+
+def test_thin_acute_triangle_global_counts():
+    """Aspect ratio 1e-6 is thin, not degenerate: all three edges are
+    Gabriel and the circumcenter lies inside the triangle."""
+    cps = enumerate_global(cloud_of([(0, 0), (1, 1e-6), (1, -1e-6)]))
+    assert list(counts(cps, 3, GLOBAL, 2).by_index) == [3, 3, 1]
+
+
+def test_tie_rule_keeps_near_coincident_critical_points():
+    """A cloud on which a Gabriel edge and a nearly right triangle have
+    centers within 1e-7 of each other: N_1 matches the fast path and the
+    Morse count matches the Cech complex."""
+    n = 5000
+    r = n ** -0.5
+    cloud = sample_iid(uniform_box(2), n, substream(5, 0))
+    cc = counts(enumerate_grid(cloud, r), n, r, 2)
+    assert cc.by_index[1] == count_index1(cloud.points, r) == 9493
+    assert cc.alternating_sum() == euler_characteristic(build_cech(cloud.points, r)) == -441
+
+
+def test_collinear_four_points_global_counts():
+    cps = enumerate_global(cloud_of([(0, 0), (1, 0), (2, 0), (3, 0)]))
+    assert list(counts(cps, 4, GLOBAL, 2).by_index) == [4, 3, 0]
+
+
+def test_integer_lattice_global_counts():
+    """4x4 lattice: 24 unit edges, and one merged maximum per unit square
+    from its two diagonals and four right triangles."""
+    pts = [(x, y) for x in range(4) for y in range(4)]
+    cc = counts(enumerate_global(cloud_of(pts)), 16, GLOBAL, 2)
+    assert list(cc.by_index) == [16, 24, 9]
     assert cc.alternating_sum() == 1
 
 
@@ -156,6 +203,48 @@ def test_count_index1_fast_path():
         eps = float(rng.uniform(0.02, 0.1))
         full = sum(1 for cp in enumerate_grid(cloud, eps) if cp.index == 1)
         assert count_index1(cloud.points, eps) == full
+
+
+# ----------------------------------------------------- shared clique expander
+
+def _random_graph(rng, n, p):
+    return np.array([(i, j) for i, j in itertools.combinations(range(n), 2)
+                     if rng.random() < p], dtype=np.int64).reshape(-1, 2)
+
+
+def test_expand_cliques_equals_brute_force_listing():
+    for trial in range(20):
+        rng = substream(110, trial)
+        n = int(rng.integers(2, 16))
+        edges = _random_graph(rng, n, float(rng.uniform(0.2, 0.9)))
+        adjacent = {tuple(e) for e in edges.tolist()}
+        level = edges
+        for size in range(3, n + 2):
+            nxt, parents = expand_cliques(level, edges, n)
+            want = [c for c in itertools.combinations(range(n), size)
+                    if all(p in adjacent for p in itertools.combinations(c, 2))]
+            assert nxt.tolist() == [list(c) for c in want]
+            assert np.array_equal(nxt[:, :-1], level[parents])
+            level = nxt
+
+
+def test_expand_cliques_budget():
+    """A complete graph whose triangle candidates span two chunks."""
+    n = 120
+    edges = np.array(list(itertools.combinations(range(n), 2)), dtype=np.int64)
+    with pytest.raises(CliqueBudgetExceeded):
+        expand_cliques(edges, edges, n, max_new=1000)
+    nxt, parents = expand_cliques(edges, edges, n, max_new=math.comb(n, 3))
+    assert nxt.tolist() == [list(c) for c in itertools.combinations(range(n), 3)]
+    assert np.array_equal(nxt[:, :-1], edges[parents])
+
+
+def test_close_pairs_sorted_and_complete():
+    cloud = sample_iid(uniform_box(2), 300, substream(111, 0))
+    pairs = close_pairs(cKDTree(cloud.points), 0.1)
+    dist = np.linalg.norm(cloud.points[:, None] - cloud.points[None], axis=2)
+    i, j = np.nonzero(np.triu(dist <= 0.1, k=1))
+    assert np.array_equal(pairs, np.stack([i, j], axis=1))
 
 
 # ---------------------------------------------------------------- invariants

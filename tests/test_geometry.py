@@ -121,6 +121,21 @@ def test_circumspheres_batch_matches_scalar(rng):
             assert radii[i] == pytest.approx(cs.radius, abs=1e-8)
 
 
+def test_circumspheres_batch_cutoff_is_relative():
+    """Collinear triples are rejected at any scale; a regular and a thin
+    (aspect 1e-6) triangle are accepted at any scale."""
+    collinear = np.array([[[0, 0], [1, 0], [2, 0]], [[0, 0], [1, 0], [3, 0]]], float)
+    equilateral = np.array([[[0, 0], [1, 0], [0.5, math.sqrt(3) / 2]]])
+    thin = np.array([[[0, 0], [1, 1e-6], [1, -1e-6]]])
+    for scale in (1e-10, 1.0, 1e6):
+        _, _, _, ok = circumspheres_batch(collinear * scale)
+        assert not ok.any()
+        _, radii, _, ok = circumspheres_batch(equilateral * scale)
+        assert ok.all() and radii[0] == pytest.approx(scale / math.sqrt(3), rel=1e-9)
+        _, radii, _, ok = circumspheres_batch(thin * scale)
+        assert ok.all() and radii[0] == pytest.approx(scale / 2, rel=1e-9)
+
+
 # ------------------------------------------------------------- hull membership
 
 def test_open_hull_equilateral_center():
@@ -229,6 +244,13 @@ def test_min_enclosing_radii_batch_matches_scalar(rng):
             radii = min_enclosing_radii_batch(stacks)
             for row, r in zip(stacks, radii):
                 assert r == pytest.approx(min_enclosing_ball(row).radius, abs=1e-9)
+
+
+def test_min_enclosing_radius_of_thin_acute_triangle():
+    """A thin acute triangle (aspect 1e-6) is not degenerate: no edge
+    ball holds the third point, and its circumball is the miniball."""
+    stacks = np.array([[[0.0, 0.0], [1000.0, 1e-3], [1000.0, -1e-3]]])
+    assert min_enclosing_radii_batch(stacks)[0] == pytest.approx(500.0, rel=1e-9)
 
 
 # ------------------------------------------------------------- union volumes
