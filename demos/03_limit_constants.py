@@ -53,7 +53,7 @@ def main() -> None:
     line("gamma_2(1)", gamma_k_estimate(2, d, f, lam, 400_000, substream(SEED, 4)))
     line("gamma_2(inf)", gamma_k_inf_estimate(2, d, 400_000, substream(SEED, 5)))
 
-    print("\nvariance constants for k = 1 (300k samples per term):")
+    print("\nvariance constants for k = 1 (one pass over 300k common samples):")
     vc = variance_constants_estimate(1, d, f, lam, 300_000, substream(SEED, 6))
     line("gamma_1", vc.gamma_k)
     for j, est in sorted(vc.gamma_k_j.items()):

@@ -91,12 +91,14 @@ def _cmd_constants(args) -> int:
         if not math.isinf(lam):
             entries.append(("mu_k", k, None, 0.0,
                             theory.mu_k_estimate(k, args.d, f, args.samples, rng)))
-        g = theory.gamma_k_estimate(k, args.d, f, lam, args.samples, rng)
-        entries.append(("gamma_k", k, None, lam, g))
-        if args.variance:
+        if not args.variance:
+            g = theory.gamma_k_estimate(k, args.d, f, lam, args.samples, rng)
+            entries.append(("gamma_k", k, None, lam, g))
+        else:
             vc = theory.variance_constants_estimate(
                 k, args.d, f, lam, args.samples, rng
             )
+            entries.append(("gamma_k", k, None, lam, vc.gamma_k))
             for j, est in sorted(vc.gamma_k_j.items()):
                 entries.append(("gamma_k_j", k, j, lam, est))
             entries.append(("eta_k", k, None, lam, vc.eta_k))

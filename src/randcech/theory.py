@@ -17,19 +17,22 @@ by 1.  Closed forms are used where they exist (k = 1, uniform
 densities); everything else is seeded Monte Carlo with reported
 standard errors.
 
-For the lambda = inf constants the radial part of the integral is done
-analytically: the indicators are scale-invariant and the exponential
-weights are homogeneous of degree d, so writing y = rho * u with u on
-the unit sphere of the full coordinate space reduces each integral to a
-bounded expectation over the sphere.  This removes all truncation error
-and leaves an integrand bounded above and below on its support.
+One sampler and one accumulator serve every Monte Carlo estimate.  The
+sampler draws x ~ f and coordinate blocks y uniform in B(0, 2), the
+support of h_1.  For lambda = inf the radial part is done analytically:
+the indicators are scale-invariant and the weights homogeneous of degree
+d, so each integral becomes a bounded expectation over the unit sphere
+of its coordinate space, drawn as normal blocks divided by their norm.
+The variance constants share one set of draws (common random numbers),
+and the standard errors of their combinations include the covariance.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import gammaln
@@ -162,40 +165,25 @@ def sphere_area(dim: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo plumbing
+# Monte Carlo kernel: one sampler, one accumulator
 
 
-def _mc_mean(fn, samples: int, rng) -> Estimate:
-    """Chunked streaming mean/variance; deterministic given (rng state,
-    samples) and independent of the chunking."""
+def _mc_mean(fn, samples: int, rng):
+    """Chunked streaming means of the rows of ``fn(rng, m)``, a (p, m)
+    array of per-sample values, and their covariance, from the sums of v_i
+    and of v_i v_j.  Deterministic for a given rng state and sample count,
+    but not independent of the chunking: each chunk draws all blocks of
+    one kind before the next."""
     done = 0
-    s = 0.0
-    s2 = 0.0
+    s = s2 = 0.0
     while done < samples:
         m = min(_CHUNK, samples - done)
         v = np.asarray(fn(rng, m), dtype=float)
-        s += float(v.sum())
-        s2 += float((v * v).sum())
+        s = s + v.sum(axis=1)
+        s2 = s2 + np.array([[(a * b).sum() for b in v] for a in v])
         done += m
     mean = s / samples
-    var = max(s2 / samples - mean * mean, 0.0)
-    return Estimate(mean, math.sqrt(var / samples), samples)
-
-
-def _sample_ball(rng, m: int, count: int, d: int, radius: float = 2.0):
-    """(m, count, d) i.i.d. points uniform in the ball of given radius."""
-    u = rng.normal(size=(m, count, d))
-    norms = np.linalg.norm(u, axis=2, keepdims=True)
-    dirs = u / np.where(norms > 0, norms, 1.0)
-    radii = radius * rng.random((m, count, 1)) ** (1.0 / d)
-    return dirs * radii
-
-
-def _sample_sphere(rng, m: int, dim: int):
-    """(m, dim) uniform on the unit sphere S^(dim-1)."""
-    u = rng.normal(size=(m, dim))
-    norms = np.linalg.norm(u, axis=1, keepdims=True)
-    return u / np.where(norms > 0, norms, 1.0)
+    return mean, (s2 / samples - np.outer(mean, mean)) / samples
 
 
 def _with_origin(y: np.ndarray) -> np.ndarray:
@@ -204,33 +192,186 @@ def _with_origin(y: np.ndarray) -> np.ndarray:
     return np.concatenate([np.zeros((m, 1, d)), y], axis=1)
 
 
-def _hull_indicator(stacks: np.ndarray):
-    """h on point tuples: circumcenter strictly inside the open hull.
-
-    Returns (mask, radii, centers)."""
-    centers, radii, bary, ok = circumspheres_batch(stacks)
-    h = ok & np.all(bary > 0.0, axis=1)
-    return h, radii, centers
+def _outside_ball(points, centers, radii) -> np.ndarray:
+    """All of the (m, t, d) points at distance >= radius from the center."""
+    dist = np.linalg.norm(points - centers[:, None, :], axis=2)
+    return np.all(dist >= radii[:, None], axis=1)
 
 
-def _density_power_integral(f: Density, p: float, samples: int, rng) -> Estimate:
-    """int f^p dx: closed form when declared, else E_f[f^(p-1)]."""
-    closed = f.integral_f_power(p)
-    if closed is not None:
-        return exact(closed)
-
-    def draw(r, m):
-        x = f.sample(r, m)
-        return f.pdf(x) ** (p - 1.0)
-
-    return _mc_mean(draw, samples, rng)
+class _Integrand(NamedTuple):
+    blocks: int  # leading coordinate blocks read; for lambda = inf, the sphere
+    density: bool  # reads f(x)
+    value: Callable  # _Draws -> (m,) per-sample values
 
 
-def _combine_product(a: Estimate, b: Estimate, factor: float = 1.0) -> Estimate:
-    """Product of independent estimates with first-order error propagation."""
-    value = factor * a.value * b.value
-    se = factor * math.hypot(a.std_err * b.value, b.std_err * a.value)
-    return Estimate(value, se, max(a.samples, b.samples))
+class _Draws:
+    """One chunk of common random numbers: ``fx`` = f(x) for x ~ f, and
+    ``width`` blocks of R^d per sample, uniform in B(0, 2) for finite
+    lambda and standard normal for lambda = inf.  There an integrand's
+    leading ``sel`` blocks are divided by their joint norm, uniform on the
+    unit sphere of R^(d sel).  Circumsphere batches are solved once."""
+
+    def __init__(self, rng, m: int, d: int, f: Density | None, width: int, inf: bool):
+        self.m, self.inf = m, inf
+        self.fx = None if f is None else f.pdf(f.sample(rng, m))
+        self.u = rng.normal(size=(m, width, d)) if width else None
+        if width and not inf:
+            norms = np.linalg.norm(self.u, axis=2, keepdims=True)
+            radii = 2.0 * rng.random((m, width, 1)) ** (1.0 / d)
+            self.u = self.u / np.where(norms > 0, norms, 1.0) * radii
+        self._norms, self._spheres = {}, {}
+
+    def points(self, cols: tuple, sel: int) -> np.ndarray:
+        """The (m, len(cols), d) blocks ``cols`` of the selection ``sel``."""
+        u = self.u[:, list(cols)]
+        if not self.inf:
+            return u
+        if sel not in self._norms:
+            norms = np.linalg.norm(self.u[:, :sel].reshape(self.m, -1), axis=1)
+            self._norms[sel] = np.where(norms > 0, norms, 1.0)[:, None, None]
+        return u / self._norms[sel]
+
+    def sphere(self, cols: tuple, sel: int):
+        """(h, radii, centers) of the tuples (0, points(cols, sel)), where h
+        says that the circumcenter lies in the open convex hull."""
+        key = (cols, sel if self.inf else None)
+        if key not in self._spheres:
+            centers, radii, bary, ok = circumspheres_batch(_with_origin(self.points(cols, sel)))
+            self._spheres[key] = (ok & np.all(bary > 0.0, axis=1), radii, centers)
+        return self._spheres[key]
+
+
+def _integrate(integrands: list, d: int, samples: int, rng, f: Density | None = None,
+               lam: float | None = None):
+    """Means of ``integrands`` on one set of draws, and their covariance.
+
+    ``lam`` is finite, inf (normal blocks put on spheres) or None for the
+    integrals that carry no intensity (mu_k).  Every estimator passes its
+    lambda through here, so this is where a bad lambda is refused.
+    """
+    inf = lam == INF
+    if lam is not None and not inf:
+        if not lam > 0:
+            raise ValueError(f"lambda must be > 0 or inf, got {lam}")
+        if f is None:
+            raise ValueError("finite lambda needs a density")
+    rng = np.random.default_rng(0) if rng is None else rng
+    width = max(ig.blocks for ig in integrands)
+    density = f if any(ig.density for ig in integrands) else None
+
+    def values(r, m):
+        draws = _Draws(r, m, d, density, width, inf)
+        return [ig.value(draws) for ig in integrands]
+
+    return _mc_mean(values, samples, rng)
+
+
+def _estimate(integrand: _Integrand, d: int, samples: int, rng, f=None, lam=None) -> Estimate:
+    mean, cov = _integrate([integrand], d, samples, rng, f, lam)
+    return Estimate(float(mean[0]), math.sqrt(max(cov[0, 0], 0.0)), samples)
+
+
+def _hull(k: int, factor: float, term, density: bool = True) -> _Integrand:
+    """factor * h_1(0, y) * term(R(0, y), f(x)) on the k blocks y; with
+    lambda = inf the hull indicator h(0, u) alone, u on the sphere."""
+    cols = tuple(range(k))
+
+    def value(draws):
+        h, radii, _ = draws.sphere(cols, k)
+        good = h if draws.inf else h & (radii <= 1.0)
+        vals = np.zeros(draws.m)
+        vals[good] = term(radii[good], None if draws.fx is None else draws.fx[good])
+        return factor * vals
+
+    return _Integrand(k, density, value)
+
+
+def _radial(k: int, d: int, factor: float) -> _Integrand:
+    """factor * h(0, u) R(0, u)^(-dk) for u on the unit sphere of R^(dk)."""
+    return _hull(k, factor, lambda r, fx: r ** (-(d * k)), density=False)
+
+
+def _gamma_inf_factor(k: int, d: int) -> float:
+    omega = unit_ball_volume(d)
+    return sphere_area(d * k) * math.gamma(k) / (d * omega**k * math.factorial(k + 1))
+
+
+def _gamma(k: int, d: int, lam: float) -> _Integrand:
+    if lam == INF:
+        return _radial(k, d, _gamma_inf_factor(k, d))
+    omega = unit_ball_volume(d)
+    w = (2.0**d * omega) ** k
+    return _hull(k, lam**k * w / math.factorial(k + 1),
+                 lambda r, fx: fx**k * np.exp(-lam * omega * r**d * fx))
+
+
+def _eta(k: int, d: int, lam: float) -> _Integrand:
+    if lam == INF:
+        return _radial(k, d, k * _gamma_inf_factor(k, d))
+    omega = unit_ball_volume(d)
+    w = (2.0**d * omega) ** k
+
+    def term(r, fx):
+        vol = omega * r**d
+        return fx ** (k + 1) * vol * np.exp(-lam * vol * fx)
+
+    return _hull(k, lam ** (k + 1) * w / math.factorial(k + 1), term)
+
+
+def _pair(k: int, j: int, d: int, lam: float) -> _Integrand:
+    """Integrand of gamma_k^(j), 0 <= j <= k, on 2k+1-j blocks.
+
+    The first subset is (0, y) on blocks 0..k-1, the tuple of gamma_k.
+    For j >= 1 the second is (0, y2, z): a = k+1-j private blocks y2
+    after y, and the last j-1 blocks z of y.  For j = 0 it is (z, z + y2)
+    with y2 on blocks k..2k-1 and the offset z on block 2k.  Each
+    subset's private points must lie outside the other's open circumball.
+    The value is h1 h2 V_union^-(2k+1-j) for lambda = inf, else
+    h_1 h_1 f^(2k+1-j) e^(-lam V_union f).
+    """
+    a, sel = k + 1 - j, 2 * k + 1 - j
+    inf = lam == INF
+    omega = unit_ball_volume(d)
+    first = tuple(range(k))
+    second = tuple(range(k, k + min(a, k))) + first[a:]
+    comb = 1.0 / (math.factorial(j) * math.factorial(a) ** 2)
+    if inf:
+        pref = sphere_area(d * sel) * math.gamma(sel) / d * comb
+    else:  # every block but the offset is uniform in B(0, 2)
+        pref = lam**sel * (2.0**d * omega) ** (k + min(a, k)) * comb
+
+    def weight(vol, fx):
+        return vol ** (-sel) if inf else fx**sel * np.exp(-lam * vol * fx)
+
+    def value(draws):
+        h1, r1, c1 = draws.sphere(first, sel)
+        h2, r2, c2 = draws.sphere(second, sel)
+        good = h1 & h2 if inf else h1 & h2 & (r1 <= 1.0) & (r2 <= 1.0)
+        vals = np.zeros(draws.m)
+        if not np.any(good):
+            return vals
+        r1, c1, r2, c2 = r1[good], c1[good], r2[good], c2[good]
+        fx = None if inf else draws.fx[good]
+        p1 = draws.points(first[:a], sel)[good]
+        p2 = draws.points(second[:a], sel)[good]
+        if j == 0:
+            z = draws.points((2 * k,), sel)[good, 0]
+            if not inf:  # z uniform in B(c1 - c2, R1 + R2), where the balls can meet
+                rsum = r1 + r2
+                z = (c1 - c2) + z / 2.0 * rsum[:, None]
+            c2 = c2 + z
+            p1, p2 = _with_origin(p1), z[:, None, :] + _with_origin(p2)
+        cross = _outside_ball(p2, c1, r1) & _outside_ball(p1, c2, r2)
+        union = two_ball_union_volumes_batch(c1, r1, c2, r2, d)
+        v = np.where(cross, weight(union, fx), 0.0)
+        if j == 0:  # less the product term, on the same draws
+            v = v - weight(omega * (r1**d + r2**d), fx)
+            if not inf:
+                v = v * omega * rsum**d
+        vals[good] = v
+        return pref * vals
+
+    return _Integrand(sel, not inf, value)
 
 
 # ---------------------------------------------------------------------------
@@ -246,17 +387,7 @@ def structure_integral(k: int, d: int, samples: int, rng) -> Estimate:
     On the support of h, 1/(2 sqrt(k)) <= R(0, u) <= 1 holds, so the
     integrand is bounded.
     """
-    dim = d * k
-    factor = sphere_area(dim) / dim
-
-    def draw(r, m):
-        u = _sample_sphere(r, m, dim).reshape(m, k, d)
-        h, radii, _ = _hull_indicator(_with_origin(u))
-        vals = np.zeros(m)
-        vals[h] = radii[h] ** (-dim)
-        return factor * vals
-
-    return _mc_mean(draw, samples, rng)
+    return _estimate(_radial(k, d, sphere_area(d * k) / (d * k)), d, samples, rng, lam=INF)
 
 
 def mu_k_estimate(k: int, d: int, f: Density, samples: int = DEFAULT_SAMPLES,
@@ -267,15 +398,15 @@ def mu_k_estimate(k: int, d: int, f: Density, samples: int = DEFAULT_SAMPLES,
         raise ValueError("need 1 <= k <= d")
     rng = np.random.default_rng(0) if rng is None else rng
     w = (2.0**d * unit_ball_volume(d)) ** k
-
-    def draw(r, m):
-        y = _sample_ball(r, m, k, d)
-        h, radii, _ = _hull_indicator(_with_origin(y))
-        return w * (h & (radii <= 1.0))
-
-    ik = _mc_mean(draw, samples, rng)
-    fk = _density_power_integral(f, k + 1.0, samples, rng)
-    return _combine_product(ik, fk, 1.0 / math.factorial(k + 1))
+    ik = _estimate(_hull(k, w, lambda r, fx: 1.0, density=False), d, samples, rng)
+    closed = f.integral_f_power(k + 1.0)  # else int f^(k+1) = E_f[f^k], on its own draws
+    if closed is not None:
+        fk = exact(closed)
+    else:
+        fk = _estimate(_Integrand(0, True, lambda draws: draws.fx**k), d, samples, rng, f)
+    factor = 1.0 / math.factorial(k + 1)
+    se = factor * math.hypot(ik.std_err * fk.value, fk.std_err * ik.value)
+    return Estimate(factor * ik.value * fk.value, se, samples)
 
 
 def gamma_k_inf_estimate(k: int, d: int, samples: int = DEFAULT_SAMPLES,
@@ -286,24 +417,7 @@ def gamma_k_inf_estimate(k: int, d: int, samples: int = DEFAULT_SAMPLES,
         gamma_k(inf) = S_dk Gamma(k) / (d omega_d^k (k+1)!)
                        * E_u[h(0,u) R(0,u)^(-dk)].
     """
-    if not 1 <= k <= d:
-        raise ValueError("need 1 <= k <= d")
-    rng = np.random.default_rng(0) if rng is None else rng
-    dim = d * k
-    factor = (
-        sphere_area(dim)
-        * math.gamma(k)
-        / (d * unit_ball_volume(d) ** k * math.factorial(k + 1))
-    )
-
-    def draw(r, m):
-        u = _sample_sphere(r, m, dim).reshape(m, k, d)
-        h, radii, _ = _hull_indicator(_with_origin(u))
-        vals = np.zeros(m)
-        vals[h] = radii[h] ** (-dim)
-        return factor * vals
-
-    return _mc_mean(draw, samples, rng)
+    return gamma_k_estimate(k, d, None, INF, samples, rng)
 
 
 def gamma_k_estimate(k: int, d: int, f: Density | None, lam: float,
@@ -316,30 +430,7 @@ def gamma_k_estimate(k: int, d: int, f: Density | None, lam: float,
     """
     if not 1 <= k <= d:
         raise ValueError("need 1 <= k <= d")
-    rng = np.random.default_rng(0) if rng is None else rng
-    if math.isinf(lam):
-        return gamma_k_inf_estimate(k, d, samples, rng)
-    if f is None:
-        raise ValueError("finite lambda needs a density")
-    if lam <= 0:
-        raise ValueError("lambda must be > 0")
-    omega = unit_ball_volume(d)
-    w = (2.0**d * omega) ** k
-    pref = lam**k * w / math.factorial(k + 1)
-
-    def draw(r, m):
-        x = f.sample(r, m)
-        fx = f.pdf(x)
-        y = _sample_ball(r, m, k, d)
-        h, radii, _ = _hull_indicator(_with_origin(y))
-        good = h & (radii <= 1.0)
-        vals = np.zeros(m)
-        vals[good] = (
-            fx[good] ** k * np.exp(-lam * omega * radii[good] ** d * fx[good])
-        )
-        return pref * vals
-
-    return _mc_mean(draw, samples, rng)
+    return _estimate(_gamma(k, d, lam), d, samples, rng, f, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -361,28 +452,7 @@ def eta_k_estimate(k: int, d: int, f: Density | None, lam: float,
     """
     if not 1 <= k <= d:
         raise ValueError("need 1 <= k <= d")
-    rng = np.random.default_rng(0) if rng is None else rng
-    if math.isinf(lam):
-        g = gamma_k_inf_estimate(k, d, samples, rng)
-        return Estimate(k * g.value, k * g.std_err, g.samples)
-    if f is None:
-        raise ValueError("finite lambda needs a density")
-    omega = unit_ball_volume(d)
-    w = (2.0**d * omega) ** k
-    pref = lam ** (k + 1) * w / math.factorial(k + 1)
-
-    def draw(r, m):
-        x = f.sample(r, m)
-        fx = f.pdf(x)
-        y = _sample_ball(r, m, k, d)
-        h, radii, _ = _hull_indicator(_with_origin(y))
-        good = h & (radii <= 1.0)
-        vals = np.zeros(m)
-        vol = omega * radii[good] ** d
-        vals[good] = fx[good] ** (k + 1) * vol * np.exp(-lam * vol * fx[good])
-        return pref * vals
-
-    return _mc_mean(draw, samples, rng)
+    return _estimate(_eta(k, d, lam), d, samples, rng, f, lam)
 
 
 def gamma_k_j_estimate(k: int, j: int, d: int, f: Density | None, lam: float,
@@ -393,73 +463,7 @@ def gamma_k_j_estimate(k: int, j: int, d: int, f: Density | None, lam: float,
     """
     if not 1 <= j <= k <= d:
         raise ValueError("need 1 <= j <= k <= d")
-    rng = np.random.default_rng(0) if rng is None else rng
-    omega = unit_ball_volume(d)
-    free = 2 * k + 1 - j  # free d-dimensional coordinates
-    pref_comb = 1.0 / (
-        math.factorial(j) * math.factorial(k + 1 - j) ** 2
-    )
-    if math.isinf(lam):
-        # radial reduction on the full coordinate space
-        dim = d * free
-        factor = sphere_area(dim) * math.gamma(free) / d * pref_comb
-
-        def draw(r, m):
-            u = _sample_sphere(r, m, dim).reshape(m, free, d)
-            return factor * _shared_pair_values(u, k, j, d, None, None, omega)
-
-        return _mc_mean(draw, samples, rng)
-    if f is None:
-        raise ValueError("finite lambda needs a density")
-    w = (2.0**d * omega) ** free
-    pref = lam**free * w * pref_comb
-
-    def draw(r, m):
-        x = f.sample(r, m)
-        fx = f.pdf(x)
-        u = _sample_ball(r, m, free, d)
-        return pref * _shared_pair_values(u, k, j, d, lam, fx, omega)
-
-    return _mc_mean(draw, samples, rng)
-
-
-def _outside_ball(points, centers, radii) -> np.ndarray:
-    """All of the (m, t, d) points at distance >= radius from the center."""
-    dist = np.linalg.norm(points - centers[:, None, :], axis=2)
-    return np.all(dist >= radii[:, None], axis=1)
-
-
-def _shared_pair_values(u, k, j, d, lam, fx, omega):
-    """Integrand of gamma_k^(j) on (m, 2k+1-j, d) coordinate blocks.
-
-    Layout: y1 = u[:, :k+1-j], y2 = u[:, k+1-j:2k+2-2j], z = rest.
-    Both subsets are (0, y_i, z).  Besides the two hull indicators, each
-    subset's private generators must lie outside the other subset's open
-    circumball -- otherwise the two critical points cannot coexist.
-    With lam=None (the inf case, u on the unit sphere) the value is
-    h1 h2 V_union^-(2k+1-j); else h_1 h_1 e^(-lam V_union fx) with
-    radius caps at 1.
-    """
-    m = len(u)
-    a = k + 1 - j
-    y1, y2, z = u[:, :a], u[:, a : 2 * a], u[:, 2 * a :]
-    s1 = _with_origin(np.concatenate([y1, z], axis=1))
-    s2 = _with_origin(np.concatenate([y2, z], axis=1))
-    h1, r1, c1 = _hull_indicator(s1)
-    h2, r2, c2 = _hull_indicator(s2)
-    good = h1 & h2
-    if lam is not None:
-        good &= (r1 <= 1.0) & (r2 <= 1.0)
-    good &= _outside_ball(y2, c1, r1) & _outside_ball(y1, c2, r2)
-    vals = np.zeros(m)
-    if not np.any(good):
-        return vals
-    vol = two_ball_union_volumes_batch(c1[good], r1[good], c2[good], r2[good], d)
-    if lam is None:
-        vals[good] = vol ** (-(2 * k + 1 - j))
-    else:
-        vals[good] = fx[good] ** (2 * k + 1 - j) * np.exp(-lam * vol * fx[good])
-    return vals
+    return _estimate(_pair(k, j, d, lam), d, samples, rng, f, lam)
 
 
 def gamma_k_0_estimate(k: int, d: int, f: Density | None, lam: float,
@@ -478,75 +482,7 @@ def gamma_k_0_estimate(k: int, d: int, f: Density | None, lam: float,
     """
     if not 1 <= k <= d:
         raise ValueError("need 1 <= k <= d")
-    rng = np.random.default_rng(0) if rng is None else rng
-    omega = unit_ball_volume(d)
-    pref_comb = 1.0 / math.factorial(k + 1) ** 2
-
-    if math.isinf(lam):
-        free = 2 * k + 1
-        dim = d * free
-        factor = sphere_area(dim) * math.gamma(free) / d * pref_comb
-
-        def draw(r, m):
-            u = _sample_sphere(r, m, dim).reshape(m, free, d)
-            y1, y2, z = u[:, :k], u[:, k : 2 * k], u[:, 2 * k, :]
-            h1, r1, c1 = _hull_indicator(_with_origin(y1))
-            h2, r2, c2 = _hull_indicator(_with_origin(y2))
-            good = h1 & h2
-            vals = np.zeros(m)
-            if not np.any(good):
-                return vals
-            zg = z[good]
-            c2g = zg + c2[good]
-            p1 = _with_origin(y1[good])
-            p2 = np.concatenate([zg[:, None, :], zg[:, None, :] + y2[good]], axis=1)
-            cross = _outside_ball(p2, c1[good], r1[good])
-            cross &= _outside_ball(p1, c2g, r2[good])
-            a = two_ball_union_volumes_batch(c1[good], r1[good], c2g, r2[good], d)
-            b = omega * (r1[good] ** d + r2[good] ** d)
-            vals[good] = np.where(cross, a ** (-free), 0.0) - b ** (-free)
-            return factor * vals
-
-        return _mc_mean(draw, samples, rng)
-
-    if f is None:
-        raise ValueError("finite lambda needs a density")
-    w = (2.0**d * omega) ** (2 * k)
-    pref = lam ** (2 * k + 1) * w * pref_comb
-
-    def draw(r, m):
-        x = f.sample(r, m)
-        fx = f.pdf(x)
-        y1 = _sample_ball(r, m, k, d)
-        y2 = _sample_ball(r, m, k, d)
-        zu = _sample_ball(r, m, 1, d, radius=1.0)[:, 0, :]
-        h1, r1, c1 = _hull_indicator(_with_origin(y1))
-        h2, r2, c2 = _hull_indicator(_with_origin(y2))
-        good = h1 & h2 & (r1 <= 1.0) & (r2 <= 1.0)
-        vals = np.zeros(m)
-        if not np.any(good):
-            return vals
-        # z uniform in B(c1 - c2, R1 + R2): exactly where balls can meet
-        rsum = r1[good] + r2[good]
-        z = (c1[good] - c2[good]) + zu[good] * rsum[:, None]
-        wz = omega * rsum**d
-        c2g = z + c2[good]
-        p1 = _with_origin(y1[good])
-        p2 = np.concatenate([z[:, None, :], z[:, None, :] + y2[good]], axis=1)
-        cross = _outside_ball(p2, c1[good], r1[good])
-        cross &= _outside_ball(p1, c2g, r2[good])
-        a = two_ball_union_volumes_batch(c1[good], r1[good], c2g, r2[good], d)
-        b = omega * (r1[good] ** d + r2[good] ** d)
-        fg = fx[good]
-        diff = np.where(cross, np.exp(-lam * a * fg), 0.0) - np.exp(-lam * b * fg)
-        vals[good] = fg ** (2 * k + 1) * wz * diff
-        return pref * vals
-
-    return _mc_mean(draw, samples, rng)
-
-
-class NegativeVarianceEstimate(UserWarning):
-    pass
+    return _estimate(_pair(k, 0, d, lam), d, samples, rng, f, lam)
 
 
 @dataclass
@@ -574,28 +510,31 @@ def variance_constants_estimate(k: int, d: int, f: Density | None, lam: float,
         alpha_k      = (k+1) gamma_k - eta_k
         sigma2_k     = sigma2_hat_k - alpha_k^2         (i.i.d. input)
 
-    A negative sigma2_k estimate is flagged, never clamped.
+    All of them are estimated in one pass over common draws: gamma_k^(j)
+    reuses the gamma_k tuple, so the standard errors of the combinations
+    come from the sample covariance of their parts (first order for
+    sigma2_k).  A negative sigma2_k estimate is flagged, never clamped.
     """
-    rng = np.random.default_rng(0) if rng is None else rng
-    g = gamma_k_estimate(k, d, f, lam, samples, rng)
-    gj = {j: gamma_k_j_estimate(k, j, d, f, lam, samples, rng) for j in range(1, k + 1)}
-    gj[0] = gamma_k_0_estimate(k, d, f, lam, samples, rng)
-    eta = eta_k_estimate(k, d, f, lam, samples, rng)
-    alpha = Estimate(
-        (k + 1) * g.value - eta.value,
-        math.hypot((k + 1) * g.std_err, eta.std_err),
-        samples,
-    )
-    s2h_val = g.value + sum(e.value for e in gj.values())
-    s2h_se = math.sqrt(g.std_err**2 + sum(e.std_err**2 for e in gj.values()))
-    s2h = Estimate(s2h_val, s2h_se, samples)
-    s2_val = s2h_val - alpha.value**2
-    s2_se = math.sqrt(s2h_se**2 + (2.0 * abs(alpha.value) * alpha.std_err) ** 2)
-    s2 = Estimate(s2_val, s2_se, samples)
+    if not 1 <= k <= d:
+        raise ValueError("need 1 <= k <= d")
+    parts = [_gamma(k, d, lam), _eta(k, d, lam)]
+    parts += [_pair(k, j, d, lam) for j in (*range(1, k + 1), 0)]
+    mean, cov = _integrate(parts, d, samples, rng, f, lam)
+
+    def estimate(grad, value):
+        return Estimate(float(value), math.sqrt(max(float(grad @ cov @ grad), 0.0)), samples)
+
+    unit = np.eye(len(parts))
+    g, eta, *pairs = (estimate(e, v) for e, v in zip(unit, mean))
+    gj = dict(zip((*range(1, k + 1), 0), pairs))
+    da, dh = (k + 1) * unit[0] - unit[1], unit[0] + unit[2:].sum(axis=0)
+    alpha = estimate(da, (k + 1) * g.value - eta.value)
+    s2h = estimate(dh, g.value + sum(e.value for e in gj.values()))
+    s2 = estimate(dh - 2.0 * alpha.value * da, s2h.value - alpha.value**2)
     return VarianceConstants(
         k=k, d=d, lam=lam, gamma_k=g, gamma_k_j=gj, eta_k=eta,
         alpha_k=alpha, sigma2_hat=s2h, sigma2=s2,
-        negative_variance=s2_val < 0.0,
+        negative_variance=s2.value < 0.0,
     )
 
 

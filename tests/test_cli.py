@@ -81,6 +81,23 @@ def test_constants_subcommand(capsys, tmp_path):
     assert table[key]["value"] == pytest.approx(1.9136, abs=0.05)
 
 
+def test_constants_variance_table_is_consistent(tmp_path):
+    """The printed gamma_k is the one sigma2_hat_k was built from."""
+    out = tmp_path / "constants.json"
+    code = main(["constants", "--d", "2", "--k", "1", "--lambda", "1.0",
+                 "--samples", "20000", "--variance", "--out", str(out)])
+    assert code == 0
+    table = json.loads(out.read_text())
+
+    def value(name, j="-"):
+        return table[f"{name}|k=1|j={j}|lambda=1.0"]["value"]
+
+    parts = value("gamma_k") + value("gamma_k_j", 0) + value("gamma_k_j", 1)
+    assert abs(value("sigma2_hat_k") - parts) <= 1e-12 * abs(parts)
+    alpha = 2 * value("gamma_k") - value("eta_k")
+    assert abs(value("alpha_k") - alpha) <= 1e-12 * abs(alpha)
+
+
 def test_constants_needs_lambda():
     assert main(["constants", "--d", "2", "--k", "1"]) == 2
 

@@ -18,8 +18,10 @@ from randcech.theory import (
     eta_k_estimate,
     exact,
     gamma_1_closed_uniform,
+    gamma_k_0_estimate,
     gamma_k_estimate,
     gamma_k_inf_estimate,
+    gamma_k_j_estimate,
     mu_1_closed,
     mu_k_estimate,
     save_constants,
@@ -178,6 +180,42 @@ def test_variance_constants_inf_regime():
     vc = variance_constants_estimate(1, 2, None, INF, 100_000, substream(409, 0))
     assert vc.gamma_k.value == pytest.approx(2.0, rel=1e-9)
     assert vc.sigma2_hat.value > vc.sigma2.value > 0
+
+
+def test_variance_constants_std_errs_match_spread():
+    """The std errors of the combinations, which include the covariance of
+    their parts on common draws, match the spread over independent runs."""
+    runs = [variance_constants_estimate(1, 2, uniform_box(2), 1.0, 2000, substream(412, i))
+            for i in range(60)]
+    for name in ("sigma2_hat", "alpha_k", "sigma2"):
+        ests = [getattr(vc, name) for vc in runs]
+        spread = np.std([e.value for e in ests], ddof=1)
+        ratio = spread / np.mean([e.std_err for e in ests])
+        assert 0.7 < ratio < 1.4, (name, ratio)
+
+
+@pytest.mark.parametrize("lam", [1.0, INF])
+def test_one_pass_pair_constants_match_standalone(lam):
+    f = None if math.isinf(lam) else uniform_box(2)
+    vc = variance_constants_estimate(1, 2, f, lam, 50_000, substream(413, 0))
+    alone = {1: gamma_k_j_estimate(1, 1, 2, f, lam, 50_000, substream(413, 1)),
+             0: gamma_k_0_estimate(1, 2, f, lam, 50_000, substream(413, 2))}
+    for j, est in alone.items():
+        assert vc.gamma_k_j[j].agrees(est, n_sigma=4.0), (j, vc.gamma_k_j[j], est)
+        assert vc.gamma_k_j[j].samples == 50_000
+
+
+@pytest.mark.parametrize("lam", [0.0, -1.0])
+@pytest.mark.parametrize("estimator", [
+    lambda f, lam: gamma_k_estimate(1, 2, f, lam, 1000),
+    lambda f, lam: eta_k_estimate(1, 2, f, lam, 1000),
+    lambda f, lam: gamma_k_j_estimate(1, 1, 2, f, lam, 1000),
+    lambda f, lam: gamma_k_0_estimate(1, 2, f, lam, 1000),
+    lambda f, lam: variance_constants_estimate(1, 2, f, lam, 1000),
+], ids=["gamma_k", "eta_k", "gamma_k_j", "gamma_k_0", "variance_constants"])
+def test_nonpositive_lambda_raises(estimator, lam):
+    with pytest.raises(ValueError, match="lambda"):
+        estimator(uniform_box(2), lam)
 
 
 # --------------------------------------------------------------- MC mechanics
