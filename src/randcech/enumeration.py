@@ -7,34 +7,36 @@ Y (CP1) and no cloud point lies strictly inside the open circumball
 circumradius to be at most epsilon (CP3).  Minima (index 0) are the
 cloud points themselves.
 
-Three enumeration paths produce identical results:
+Two enumeration paths produce identical counts and values:
 
 * ``enumerate_brute``   -- exhaustive over all (k+1)-subsets; the oracle.
-* ``enumerate_grid``    -- any subset with circumradius <= eps has
-  diameter <= 2 eps, so candidates are the cliques of the 2 eps
-  proximity graph: pairs from a k-d tree (``close_pairs``), larger
-  cliques from the lower-neighbor expander ``expand_cliques``, which
-  ``cech`` shares.
-* Delaunay pruning      -- any subset whose open circumball is empty is
-  a face of the Delaunay complex, so for large clouds candidates can be
-  drawn from Delaunay faces instead (d <= 3, via scipy/Qhull).
+* ``enumerate_grid``    -- a generator set has an empty open circumball
+  (CP2), so it is a Delaunay face, and diameter <= 2 eps (CP3), so it is
+  a clique of the 2 eps proximity graph.  ``_pick_strategy`` draws the
+  candidates from Delaunay faces (scipy/Qhull) when 2 <= d <= 3 and the
+  graph has more than 2^d n edges, and otherwise from its cliques:
+  pairs from a k-d tree (``close_pairs``), larger cliques from the
+  lower-neighbor expander ``expand_cliques``, which ``cech`` shares.
 
-CP2 is verified against the full cloud in every path, so the pruning
-strategy only affects speed, never the result.  Candidates stay arrays
-until the tie rule builds ``CriticalPoint`` objects for those emitted.
+CP2 is verified against the full cloud on both sources, so the choice
+only affects speed, never the counts.  Candidates stay arrays until the
+tie rule builds ``CriticalPoint`` objects for those emitted.
 """
 
 from __future__ import annotations
 
 import itertools
+import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import Delaunay, QhullError, cKDTree
+from scipy.spatial import Delaunay, cKDTree
 
 from .geometry import TAU_GEOM, TAU_HULL, affine_rank, circumspheres_batch
 from .pointproc import PointCloud
+
+log = logging.getLogger(__name__)
 
 GLOBAL = math.inf
 
@@ -295,12 +297,13 @@ def enumerate_brute(cloud, eps=GLOBAL, k_max=None, cap=None):
     return _minima(points) + _resolve_ties(points, batches)
 
 
-def enumerate_grid(cloud, eps, k_max=None, candidates="auto"):
-    """Radius-restricted enumeration, identical in output to the oracle.
+def enumerate_grid(cloud, eps, k_max=None):
+    """Critical points with value <= eps (all of them for eps None or
+    inf), identical in output to the oracle.
 
-    ``candidates`` picks the pruning strategy: "grid" (cliques of the
-    2 eps proximity graph, i.e. subsets of diameter <= 2 eps),
-    "delaunay" (faces of the Delaunay complex, d <= 3), or "auto".
+    Candidates are Delaunay faces when 2 <= d <= 3 and the 2 eps graph
+    has more than 2^d n edges (n(n-1)/2 when global), else its cliques;
+    the choice is logged at DEBUG.
     """
     points = _as_points(cloud)
     if len(points) == 0:
@@ -309,51 +312,40 @@ def enumerate_grid(cloud, eps, k_max=None, candidates="auto"):
         eps = None
     if eps is not None and eps <= 0:
         raise ValueError("eps must be > 0")
-    d = points.shape[1]
+    n, d = points.shape
     k_max = d if k_max is None else min(k_max, d)
-    strategy = _pick_strategy(points, eps, candidates)
     tree = cKDTree(points)
+    if eps is None:
+        pairs, edges = None, n * (n - 1) // 2
+    else:
+        pairs = close_pairs(tree, 2.0 * eps + 2.0 * TAU_GEOM)
+        edges = len(pairs)
+    strategy = _pick_strategy(n, d, edges)
+    log.debug("%s candidates: n = %d, %d edges in the 2 eps graph", strategy, n, edges)
     if strategy == "delaunay":
         subsets = list(delaunay_subsets(points, k_max).values())
     else:
-        e = eps if eps is not None else _global_radius_bound(points, tree)
-        pairs = close_pairs(tree, 2.0 * e + 2.0 * TAU_GEOM)
+        if pairs is None:
+            pairs = np.column_stack(np.triu_indices(n, 1)).astype(np.int64)
         subsets = [pairs]
         while len(subsets) < k_max and len(subsets[-1]):
-            subsets.append(expand_cliques(subsets[-1], pairs, len(points))[0])
+            subsets.append(expand_cliques(subsets[-1], pairs, n)[0])
     batches = [_evaluate_batch(points, arr, eps, tree) for arr in subsets[:k_max] if len(arr)]
     return _minima(points) + _resolve_ties(points, batches)
 
 
-def _pick_strategy(points, eps, candidates) -> str:
-    if candidates in ("grid", "delaunay"):
-        return candidates
-    n, d = points.shape
-    if d > 3 or n <= d + 2:
-        return "grid"
-    if eps is None:
-        return "delaunay" if n > 40 else "grid"
-    # rough expected pair count under a uniform-ish spread
-    span = points.max(axis=0) - points.min(axis=0)
-    vol = float(np.prod(np.maximum(span, 1e-12)))
-    from .geometry import unit_ball_volume
-
-    est_pairs = 0.5 * n * n * unit_ball_volume(d) * (2 * eps) ** d / vol
-    return "delaunay" if est_pairs > 20.0 * n and n > 200 else "grid"
+def _pick_strategy(n: int, d: int, edges: int) -> str:
+    """Delaunay faces once the 2 eps graph is denser than 2^d edges per
+    point; Qhull triangulates only 2 <= d <= 3."""
+    return "delaunay" if 2 <= d <= 3 and edges > 2**d * n else "grid"
 
 
-def _global_radius_bound(points, tree) -> float:
-    """Upper bound on any critical value: the bounding-box diameter."""
-    span = points.max(axis=0) - points.min(axis=0)
-    return float(np.linalg.norm(span)) + TAU_GEOM
-
-
-def enumerate_global(cloud, k_max=None, cap=GLOBAL_CAP, candidates="auto"):
+def enumerate_global(cloud, k_max=None, cap=GLOBAL_CAP):
     """All critical points, no radius restriction."""
     points = _as_points(cloud)
     if len(points) > cap:
         raise GlobalCapExceeded(f"n={len(points)} exceeds global cap {cap}")
-    return enumerate_grid(cloud, None, k_max=k_max, candidates=candidates)
+    return enumerate_grid(cloud, None, k_max=k_max)
 
 
 def counts(critical_points, n: int, eps: float, d: int | None = None) -> CriticalCounts:
@@ -426,14 +418,13 @@ def count_index1(points: np.ndarray, eps: float, tree: cKDTree | None = None) ->
     return int(np.sum(dmin >= radii[keep] - TAU_GEOM))
 
 
-def critical_values_by_index(points: np.ndarray, k_max: int | None = None,
-                             candidates: str = "auto") -> dict:
+def critical_values_by_index(points: np.ndarray, k_max: int | None = None) -> dict:
     """Sorted critical values per index from a global enumeration.
 
     One enumeration serves every radius: N_k(eps) is the number of
     values <= eps and the global count is the array length.
     """
-    cps = enumerate_global(points, k_max=k_max, candidates=candidates)
+    cps = enumerate_global(points, k_max=k_max)
     points = _as_points(points)
     d = points.shape[1]
     k_max = d if k_max is None else min(k_max, d)

@@ -369,14 +369,13 @@ def euler_phase(config: ExperimentConfig, audit_trials: int = 3) -> dict:
     config.validate()
     f = config.make_density()
     out = {"chi_over_n": {}, "chi_mean": {}, "audited": 0}
-    strategy = "delaunay" if (config.is_supercritical() and config.d <= 3) else "auto"
     for i, n in enumerate(config.n_schedule):
         eps = config.radius(n)
         chis = []
         for t in range(config.trials):
             rng = substream(config.seed, i, t)
             cloud = _sample_cloud(f, n, config.process, rng)
-            cps = enumerate_grid(cloud.points, eps, candidates=strategy)
+            cps = enumerate_grid(cloud.points, eps)
             cc = tally_counts(cps, cloud.n, eps, config.d)
             chi = cc.alternating_sum()
             if (i == 0 and t < audit_trials and n <= AUDIT_N_CAP

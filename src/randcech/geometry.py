@@ -53,11 +53,11 @@ def ball_volume(radius: float, d: int) -> float:
     return unit_ball_volume(d) * radius**d
 
 
-def affine_rank(points: np.ndarray, tol: float = TAU_GEOM) -> int:
+def affine_rank(points: np.ndarray) -> int:
     """Dimension of the affine hull of the given points.
 
-    Singular values of the difference matrix below ``tol`` are treated
-    as zero (absolute cutoff).
+    Singular values of the difference matrix up to ``TAU_GEOM`` are
+    treated as zero (absolute cutoff).
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
@@ -66,10 +66,10 @@ def affine_rank(points: np.ndarray, tol: float = TAU_GEOM) -> int:
         return 0
     diffs = points[1:] - points[0]
     s = np.linalg.svd(diffs, compute_uv=False)
-    return int(np.sum(s > tol))
+    return int(np.sum(s > TAU_GEOM))
 
 
-def general_position(points, tol: float = TAU_GEOM) -> bool:
+def general_position(points) -> bool:
     """True iff k+1 points do not lie in a (k-1)-dimensional affine space.
 
     Degenerate input (repeats, collinear triples, ...) returns False and
@@ -79,10 +79,10 @@ def general_position(points, tol: float = TAU_GEOM) -> bool:
     k = len(points) - 1
     if k < 1 or not np.all(np.isfinite(points)):
         return False
-    return affine_rank(points, tol) == k
+    return affine_rank(points) == k
 
 
-def circumsphere(points, tol: float = TAU_GEOM) -> CircumSphere:
+def circumsphere(points) -> CircumSphere:
     """Center and radius of the unique (k-1)-sphere through k+1 points.
 
     The center is the point of the affine hull equidistant from all
@@ -92,7 +92,7 @@ def circumsphere(points, tol: float = TAU_GEOM) -> CircumSphere:
     k = len(points) - 1
     if k == 0:
         return CircumSphere(points[0].copy(), 0.0, 0)
-    centers, radii, _, ok = circumspheres_batch(points[None], tol)
+    centers, radii, _, ok = circumspheres_batch(points[None])
     if not ok[0]:
         raise DegenerateConfiguration(
             "circumsphere points are affinely dependent within tau_geom"
@@ -111,14 +111,14 @@ def barycentric_coordinates(c, points) -> np.ndarray:
     return np.concatenate([[1.0 - lam.sum()], lam])
 
 
-def in_open_convex_hull(c, points, tol: float = TAU_HULL) -> bool:
+def in_open_convex_hull(c, points) -> bool:
     """True iff c lies strictly inside the convex hull of the points.
 
     Realizes the indicator used by the first critical-point condition:
-    all barycentric coordinates strictly greater than ``tol``.
+    all barycentric coordinates strictly greater than ``TAU_HULL``.
     """
     lam = barycentric_coordinates(c, points)
-    return bool(np.all(lam > tol))
+    return bool(np.all(lam > TAU_HULL))
 
 
 # -- batched variants -------------------------------------------------------
@@ -126,7 +126,7 @@ def in_open_convex_hull(c, points, tol: float = TAU_HULL) -> bool:
 # Enumeration evaluates the same predicates on large arrays of candidate
 # subsets; these operate on an (m, k+1, d) stack in one shot.
 
-def circumspheres_batch(stacks: np.ndarray, tol: float = TAU_GEOM):
+def circumspheres_batch(stacks: np.ndarray):
     """Circumcenters/radii/barycentric coordinates for m point tuples.
 
     Parameters
@@ -137,7 +137,7 @@ def circumspheres_batch(stacks: np.ndarray, tol: float = TAU_GEOM):
     -------
     centers : (m, d); radii : (m,); bary : (m, k+1); ok : (m,) bool
         ``ok`` is False where the smallest singular value of the offsets
-        is at most ``tol`` times the largest (the cutoff of
+        is at most ``TAU_GEOM`` times the largest (the cutoff of
         ``circumsphere``); the other outputs are undefined there.
     """
     stacks = np.asarray(stacks, dtype=float)
@@ -157,14 +157,14 @@ def circumspheres_batch(stacks: np.ndarray, tol: float = TAU_GEOM):
     # fail this coarse test get the exact one on the singular values, and
     # are solved through them, as in ``circumsphere``.
     eig = np.linalg.eigvalsh(gram)
-    ok = eig[:, 0] > tol * eig[:, -1]
+    ok = eig[:, 0] > TAU_GEOM * eig[:, -1]
     rhs = 0.5 * np.einsum("mij,mij->mi", v, v)
     gram_safe = np.where(ok[:, None, None], gram, np.eye(k)[None])
     w = np.linalg.solve(gram_safe, rhs[..., None])[..., 0]
     low = np.nonzero(~ok)[0]
     if k <= d and len(low):
         u, s, _ = np.linalg.svd(v[low], full_matrices=False)
-        thin = s[:, -1] > tol * s[:, 0]
+        thin = s[:, -1] > TAU_GEOM * s[:, 0]
         ok[low] = thin
         ut_rhs = np.einsum("mji,mj->mi", u[thin], rhs[low[thin]])
         w[low[thin]] = np.einsum("mij,mj->mi", u[thin], ut_rhs / s[thin] ** 2)
@@ -194,17 +194,17 @@ def _ball_of_boundary(points: np.ndarray):
     return points[0] + offset, float(np.linalg.norm(offset))
 
 
-def _welzl(pts: np.ndarray, idx: tuple, boundary: tuple, d: int, tol: float):
+def _welzl(pts: np.ndarray, idx: tuple, boundary: tuple, d: int):
     if not idx or len(boundary) == d + 1:
         return _ball_of_boundary(pts[list(boundary)])
     p = idx[0]
-    c, r = _welzl(pts, idx[1:], boundary, d, tol)
-    if np.linalg.norm(pts[p] - c) <= r + tol:
+    c, r = _welzl(pts, idx[1:], boundary, d)
+    if np.linalg.norm(pts[p] - c) <= r + TAU_GEOM:
         return c, r
-    return _welzl(pts, idx[1:], boundary + (p,), d, tol)
+    return _welzl(pts, idx[1:], boundary + (p,), d)
 
 
-def min_enclosing_ball(points, tol: float = TAU_GEOM) -> Ball:
+def min_enclosing_ball(points) -> Ball:
     """Smallest ball containing all points (Welzl's recursion).
 
     The input order is pre-shuffled with a fixed seed, which gives the
@@ -225,13 +225,13 @@ def min_enclosing_ball(points, tol: float = TAU_GEOM) -> Ball:
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(max(old, 4 * len(pts) + 100))
     try:
-        c, r = _welzl(pts, tuple(order), (), d, tol)
+        c, r = _welzl(pts, tuple(order), (), d)
     finally:
         sys.setrecursionlimit(old)
     return Ball(np.asarray(c, dtype=float), float(r))
 
 
-def min_enclosing_radii_batch(stacks: np.ndarray, tol: float = TAU_GEOM) -> np.ndarray:
+def min_enclosing_radii_batch(stacks: np.ndarray) -> np.ndarray:
     """Smallest-enclosing-ball radius for each (k+1)-tuple in a stack.
 
     For tuples of up to d+1 points the optimum is attained on a support
@@ -248,7 +248,7 @@ def min_enclosing_radii_batch(stacks: np.ndarray, tol: float = TAU_GEOM) -> np.n
         return _min_ball_radius_3(stacks)
     if kp1 == 4:
         return _min_ball_radius_4(stacks)
-    return np.array([min_enclosing_ball(row, tol).radius for row in stacks])
+    return np.array([min_enclosing_ball(row).radius for row in stacks])
 
 
 def _min_ball_radius_3(stacks: np.ndarray) -> np.ndarray:

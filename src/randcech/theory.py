@@ -247,8 +247,11 @@ def _integrate(integrands: list, d: int, samples: int, rng, f: Density | None = 
 
     ``lam`` is finite, inf (normal blocks put on spheres) or None for the
     integrals that carry no intensity (mu_k).  Every estimator passes its
-    lambda through here, so this is where a bad lambda is refused.
+    lambda and sample count through here, so this is where bad ones are
+    refused.
     """
+    if not samples >= 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     inf = lam == INF
     if lam is not None and not inf:
         if not lam > 0:

@@ -5,7 +5,9 @@ check and its measured numbers, then asserts.  All checks are seeded and
 deterministic; tolerances are part of the stated criteria.
 """
 
+import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -98,9 +100,10 @@ def test_criterion_02_global_alternating_sum():
             f"100 clouds, {bad} violations")
 
 
-def test_criterion_03_oracle_equivalence():
+def test_criterion_03_oracle_equivalence(caplog):
     """Grid-accelerated enumeration reproduces the brute-force oracle as a
     multiset of (index, value) to 1e-9 on 200 instances."""
+    caplog.set_level(logging.DEBUG, logger="randcech.enumeration")
     bad = 0
     for i in range(200):
         d = 2 if i % 4 != 3 else 3
@@ -114,7 +117,10 @@ def test_criterion_03_oracle_equivalence():
                       for cp in enumerate_grid(cloud, eps))
         if brute != grid:
             bad += 1
-    _report(3, "grid = brute oracle", bad == 0, f"200 instances, {bad} mismatches")
+    paths = [r.args[0] for r in caplog.records if r.name == "randcech.enumeration"]
+    _report(3, "grid = brute oracle", bad == 0,
+            f"200 instances ({paths.count('delaunay')} Delaunay, {paths.count('grid')} grid "
+            f"candidates), {bad} mismatches")
 
 
 def test_criterion_04_gamma1_closed_form():
@@ -242,6 +248,12 @@ def test_criterion_10_global_vs_local():
     gaps = [max(res["gap"][n].values()) for n in cfg.n_schedule]
     main_ok = all(b <= a for a, b in zip(gaps, gaps[1:])) and gaps[-1] < 0.1
 
+    # at half the calibrated D* the gaps are nonzero, so their decay is seen
+    half = global_vs_local(replace(cfg, d_star=d_star / 2))
+    half_gaps = [max(half["gap"][n].values()) for n in cfg.n_schedule]
+    half_ok = (all(g > 0 for g in half_gaps)
+               and all(b <= a for a, b in zip(half_gaps, half_gaps[1:])))
+
     annulus = ExperimentConfig(
         mode="global_vs_local", d=2, density="uniform_annulus",
         density_params={"r_in": 1.0, "r_out": 2.0}, rule="log", d_star=8.0,
@@ -250,9 +262,10 @@ def test_criterion_10_global_vs_local():
     )
     signed = global_vs_local(annulus)["signed_top_gap"][4000]
     annulus_ok = 0.5 <= signed <= 1.5
-    _report(10, "global vs radius-restricted counts", main_ok and annulus_ok,
+    _report(10, "global vs radius-restricted counts", main_ok and half_ok and annulus_ok,
             f"D* = {d_star}, gaps {['%.3f' % g for g in gaps]} "
-            f"(nonincreasing, last < 0.1); annulus signed gap = {signed:.3f} "
+            f"(nonincreasing, last < 0.1); D*/2 gaps {['%.3f' % g for g in half_gaps]} "
+            f"(positive, nonincreasing); annulus signed gap = {signed:.3f} "
             "(target [0.5, 1.5])")
 
 

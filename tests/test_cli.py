@@ -46,6 +46,13 @@ def test_enumerate_global_degenerate_cloud(points, capsys, tmp_path):
     assert "alternating sum: 1" in capsys.readouterr().out
 
 
+def test_enumerate_one_dimensional_cloud(capsys, tmp_path):
+    path = tmp_path / "line.csv"
+    save_cloud_csv(sample_iid(uniform_box(1), 1000, substream(3, 0)), path)
+    assert main(["enumerate", "--cloud", str(path), "--eps", "0.05"]) == 0
+    assert "counts by index: 1000 999" in capsys.readouterr().out
+
+
 def test_enumerate_needs_radius(cloud_csv):
     assert main(["enumerate", "--cloud", cloud_csv]) == 2
 
@@ -100,6 +107,11 @@ def test_constants_variance_table_is_consistent(tmp_path):
 
 def test_constants_needs_lambda():
     assert main(["constants", "--d", "2", "--k", "1"]) == 2
+
+
+def test_constants_bad_sample_count_is_config_error():
+    assert main(["constants", "--d", "2", "--k", "1", "--lambda", "1.0",
+                 "--samples", "0"]) == 2
 
 
 def test_experiment_subcommand(tmp_path, capsys):

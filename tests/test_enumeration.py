@@ -1,8 +1,10 @@
-"""Critical-point enumeration: hand examples, oracle equivalence across the
-brute / grid / Delaunay candidate paths, the shared clique expander, caps,
-tie rule, degenerate input, serialization."""
+"""Critical-point enumeration: hand examples, oracle equivalence of both
+candidate sources (cliques and Delaunay faces), the choice between them,
+the shared clique expander, caps, tie rule, degenerate input,
+serialization."""
 
 import itertools
+import logging
 import math
 
 import numpy as np
@@ -140,29 +142,77 @@ def test_pair_index1_threshold():
 
 # ---------------------------------------------------------- oracle equivalence
 
+def _paths(caplog):
+    """Candidate sources that enumerate_grid logged, in call order."""
+    return [r.args[0] for r in caplog.records if r.name == "randcech.enumeration"]
+
+
 @pytest.mark.parametrize("d", [2, 3])
-def test_grid_equals_brute_random_clouds(d):
+def test_grid_equals_brute_random_clouds(d, caplog):
+    """enumerate_grid equals the oracle on 30 clouds per dimension, and
+    both candidate sources run among them."""
     f = uniform_box(d)
+    inputs = []
     for trial in range(20):
         rng = substream(100, d, trial)
         n = int(rng.integers(5, 60))
-        cloud = sample_iid(f, n, rng)
-        eps = float(rng.uniform(0.05, 0.5))
-        brute = enumerate_brute(cloud, eps)
-        grid = enumerate_grid(cloud, eps, candidates="grid")
-        assert _multiset(brute) == _multiset(grid)
+        inputs.append((sample_iid(f, n, rng), float(rng.uniform(0.05, 0.5))))
+    for trial in range(10):
+        rng = substream(101, d, trial)
+        inputs.append((sample_iid(f, 40, rng), float(rng.uniform(0.1, 0.4))))
+    with caplog.at_level(logging.DEBUG, logger="randcech.enumeration"):
+        for cloud, eps in inputs:
+            assert _multiset(enumerate_brute(cloud, eps)) == _multiset(enumerate_grid(cloud, eps))
+    assert set(_paths(caplog)) == {"grid", "delaunay"}
 
 
 @pytest.mark.parametrize("d", [2, 3])
-def test_delaunay_path_equals_brute(d):
+def test_delaunay_path_equals_brute(d, caplog, monkeypatch):
+    """Delaunay-face candidates equal the oracle on every cloud, also where
+    the density rule would pick clique candidates."""
+    import randcech.enumeration as enumeration
+
+    monkeypatch.setattr(enumeration, "_pick_strategy", lambda n, d, edges: "delaunay")
     f = uniform_box(d)
-    for trial in range(10):
-        rng = substream(101, d, trial)
-        cloud = sample_iid(f, 40, rng)
-        eps = float(rng.uniform(0.1, 0.4))
-        brute = enumerate_brute(cloud, eps)
-        dela = enumerate_grid(cloud, eps, candidates="delaunay")
-        assert _multiset(brute) == _multiset(dela)
+    with caplog.at_level(logging.DEBUG, logger="randcech.enumeration"):
+        for trial in range(10):
+            rng = substream(101, d, trial)
+            cloud = sample_iid(f, 40, rng)
+            eps = float(rng.uniform(0.1, 0.4))
+            assert _multiset(enumerate_brute(cloud, eps)) == _multiset(enumerate_grid(cloud, eps))
+    assert _paths(caplog) == ["delaunay"] * 10
+
+
+def test_path_and_counts_invariant_under_placement(caplog):
+    """A cloud past the Delaunay threshold (lambda = 4) keeps its candidate
+    source and its counts when rotated, scaled, relabelled or given one
+    far point."""
+    n = 2000
+    r = (4.0 / n) ** 0.5
+    pts = sample_iid(uniform_box(2), n, substream(112, 0)).points
+    c = s = math.sqrt(0.5)
+    variants = [
+        (pts, r),
+        (pts @ np.array([[c, -s], [s, c]]), r),
+        (pts * 1e3, r * 1e3),
+        (pts[substream(112, 1).permutation(n)], r),
+        (np.vstack([pts, [(100.0, 100.0)]]), r),
+    ]
+    with caplog.at_level(logging.DEBUG, logger="randcech.enumeration"):
+        by_index = [counts(enumerate_grid(p, e), len(p), e, 2).by_index[1:].tolist()
+                    for p, e in variants]
+    assert _paths(caplog) == ["delaunay"] * len(variants)
+    assert by_index == [by_index[0]] * len(variants)
+
+
+def test_one_dimensional_cloud():
+    """d = 1 uses clique candidates; Qhull triangulates only d >= 2."""
+    cloud = sample_iid(uniform_box(1), 1000, substream(3, 0))
+    cc = counts(enumerate_grid(cloud, 0.05), 1000, 0.05, 1)
+    assert list(cc.by_index) == [1000, 999]
+    assert cc.by_index[1] == count_index1(cloud.points, 0.05)
+    cc = counts(enumerate_global(cloud.points[:50]), 50, GLOBAL, 1)
+    assert list(cc.by_index) == [50, 49]
 
 
 def test_global_alternating_sum_random():

@@ -205,17 +205,27 @@ def test_one_pass_pair_constants_match_standalone(lam):
         assert vc.gamma_k_j[j].samples == 50_000
 
 
-@pytest.mark.parametrize("lam", [0.0, -1.0])
-@pytest.mark.parametrize("estimator", [
-    lambda f, lam: gamma_k_estimate(1, 2, f, lam, 1000),
-    lambda f, lam: eta_k_estimate(1, 2, f, lam, 1000),
-    lambda f, lam: gamma_k_j_estimate(1, 1, 2, f, lam, 1000),
-    lambda f, lam: gamma_k_0_estimate(1, 2, f, lam, 1000),
-    lambda f, lam: variance_constants_estimate(1, 2, f, lam, 1000),
+ESTIMATORS = pytest.mark.parametrize("estimator", [
+    lambda f, lam, samples=1000: gamma_k_estimate(1, 2, f, lam, samples),
+    lambda f, lam, samples=1000: eta_k_estimate(1, 2, f, lam, samples),
+    lambda f, lam, samples=1000: gamma_k_j_estimate(1, 1, 2, f, lam, samples),
+    lambda f, lam, samples=1000: gamma_k_0_estimate(1, 2, f, lam, samples),
+    lambda f, lam, samples=1000: variance_constants_estimate(1, 2, f, lam, samples),
 ], ids=["gamma_k", "eta_k", "gamma_k_j", "gamma_k_0", "variance_constants"])
+
+
+@pytest.mark.parametrize("lam", [0.0, -1.0])
+@ESTIMATORS
 def test_nonpositive_lambda_raises(estimator, lam):
     with pytest.raises(ValueError, match="lambda"):
         estimator(uniform_box(2), lam)
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+@ESTIMATORS
+def test_bad_sample_count_raises(estimator, samples):
+    with pytest.raises(ValueError, match="samples"):
+        estimator(uniform_box(2), 1.0, samples)
 
 
 # --------------------------------------------------------------- MC mechanics
