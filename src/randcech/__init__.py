@@ -29,6 +29,7 @@ from .enumeration import (
     GLOBAL,
     CriticalCounts,
     CriticalPoint,
+    CriticalPoints,
     counts,
     enumerate_brute,
     enumerate_global,

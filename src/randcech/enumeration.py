@@ -19,8 +19,14 @@ Two enumeration paths produce identical counts and values:
   lower-neighbor expander ``expand_cliques``, which ``cech`` shares.
 
 CP2 is verified against the full cloud on both sources, so the choice
-only affects speed, never the counts.  Candidates stay arrays until the
-tie rule builds ``CriticalPoint`` objects for those emitted.
+only affects speed, never the counts.
+
+Candidates stay arrays through the tie rule, and every path returns one
+``CriticalPoints`` result: index, generators (padded with -1), centers
+and values of the critical points of index >= 1, in (index, value,
+generators) order.  The n minima stay implicit (N_0 = n).  Counting and
+thresholding read the arrays; ``CriticalPoint`` objects are built only
+when a caller iterates the result.
 """
 
 from __future__ import annotations
@@ -64,6 +70,43 @@ class CriticalPoint:
     center: np.ndarray
     value: float
     generators: tuple
+
+
+@dataclass(frozen=True)
+class CriticalPoints:
+    """The critical points of a cloud as arrays, minima implicit.
+
+    Row r of ``index``, ``generators`` (padded with -1), ``centers`` and
+    ``values`` is one critical point of index >= 1; rows are in
+    (index, value, generators) order.  Point i of ``points`` is the
+    minimum (i,).  Iterating yields the n minima, then one
+    ``CriticalPoint`` per row.
+    """
+
+    points: np.ndarray
+    index: np.ndarray
+    generators: np.ndarray
+    centers: np.ndarray
+    values: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return len(self.points)
+
+    @property
+    def d(self) -> int:
+        return self.points.shape[1]
+
+    def __len__(self) -> int:
+        return self.n + len(self.index)
+
+    def __iter__(self):
+        for i, p in enumerate(self.points):
+            yield CriticalPoint(0, p.copy(), 0.0, (i,))
+        rows = zip(self.index.tolist(), self.centers, self.values.tolist(),
+                   self.generators.tolist())
+        for k, center, value, gens in rows:
+            yield CriticalPoint(k, center, value, tuple(g for g in gens if g >= 0))
 
 
 @dataclass
@@ -138,20 +181,37 @@ def expand_cliques(level: np.ndarray, edges: np.ndarray, n: int,
 
 
 def delaunay_subsets(points: np.ndarray, k_max: int) -> dict:
-    """Candidate (k+1)-subsets from the faces of the Delaunay complex."""
+    """Candidate (k+1)-subsets from the faces of the Delaunay complex,
+    sorted rows in lexicographic order.
+
+    Proper faces are deduplicated by base-n integer keys, which fit in
+    int64 while n^d <= 2^63; the cells are distinct already.
+    """
+    n, d = points.shape
+    if n ** min(k_max + 1, d) > 2**63:
+        raise ValueError(f"n = {n} points overflow the int64 keys of Delaunay faces in d = {d}")
     tri = Delaunay(points, qhull_options="QJ Pp")
-    cells = np.sort(tri.simplices, axis=1)
+    cells = np.sort(tri.simplices, axis=1).astype(np.int64)
+    width = cells.shape[1]
     out = {}
     for k in range(1, k_max + 1):
         size = k + 1
-        if size > cells.shape[1]:
+        if size > width:
             out[size] = np.empty((0, size), dtype=np.int64)
-            continue
-        faces = []
-        for combo in itertools.combinations(range(cells.shape[1]), size):
-            faces.append(cells[:, combo])
-        allf = np.sort(np.concatenate(faces, axis=0), axis=1)
-        out[size] = np.unique(allf, axis=0).astype(np.int64)
+        elif size == width:
+            out[size] = cells[np.lexsort(cells.T[::-1])]
+        else:
+            faces = []
+            for combo in itertools.combinations(range(width), size):
+                key = cells[:, combo[0]]
+                for col in combo[1:]:
+                    key = key * n + cells[:, col]
+                faces.append(key)
+            keys = np.unique(np.concatenate(faces))
+            face = np.empty((len(keys), size), dtype=np.int64)
+            for col in range(size - 1, -1, -1):
+                keys, face[:, col] = np.divmod(keys, n)
+            out[size] = face
     return out
 
 
@@ -178,13 +238,13 @@ def _evaluate_batch(points, subsets, eps, tree, keep_weak=True):
     if len(idx):
         # CP2: the nearest cloud point to the center must be no closer
         # than R - tau (the generators themselves lie at distance exactly R).
-        dmin, _ = tree.query(centers[idx], k=1)
+        dmin, _ = tree.query(centers[idx], k=1, workers=-1)
         idx = idx[dmin >= radii[idx] - TAU_GEOM]
     return subsets[idx], centers[idx], radii[idx], strict[idx]
 
 
-def _resolve_ties(points: np.ndarray, batches: list) -> list:
-    """Collapse cospherical degeneracies and build the critical points.
+def _resolve_ties(points: np.ndarray, batches: list) -> CriticalPoints:
+    """Collapse cospherical degeneracies into the critical points.
 
     ``batches`` are outputs of ``_evaluate_batch``.  Two candidates tie
     when their values and centers both agree within ``TAU_GEOM`` times
@@ -197,7 +257,9 @@ def _resolve_ties(points: np.ndarray, batches: list) -> list:
     """
     batches = [b for b in batches if len(b[0])]
     if not batches:
-        return []
+        return CriticalPoints(points, np.empty(0, dtype=np.int64),
+                              np.empty((0, 1), dtype=np.int64),
+                              np.empty((0, points.shape[1])), np.empty(0))
     # One row per candidate: its generators, padded with -1.
     width = max(b[0].shape[1] for b in batches)
     gens = np.concatenate([np.pad(b[0], ((0, 0), (0, width - b[0].shape[1])),
@@ -212,11 +274,9 @@ def _resolve_ties(points: np.ndarray, batches: list) -> list:
     tied = np.zeros(len(v), dtype=bool)
     tied[:-1] |= near
     tied[1:] |= near
-    single = order[~tied & strict[order]]
-    out = []
-    for row, c, r in zip(gens[single].tolist(), centers[single], values[single].tolist()):
-        g = tuple(x for x in row if x >= 0)
-        out.append(CriticalPoint(len(g) - 1, c, r, g))
+    rows = order[~tied & strict[order]]
+    index = np.count_nonzero(gens[rows] >= 0, axis=1) - 1
+    merged = []  # (index, generators, representative row) per tie group
     run_id = np.cumsum(np.concatenate([[True], ~near]))[tied]
     for run in np.split(order[tied], np.nonzero(np.diff(run_id))[0] + 1):
         groups: list = []
@@ -234,24 +294,30 @@ def _resolve_ties(points: np.ndarray, batches: list) -> list:
             strict_members = [i for i in group if strict[i]]
             if not strict_members:
                 continue
-            rep = min(strict_members)
-            union = tuple(sorted(set(gens[group].ravel().tolist()) - {-1}))
-            index = len(union) - 1 if len(group) == 1 else affine_rank(points[list(union)])
-            out.append(CriticalPoint(index, centers[rep].copy(), float(values[rep]), union))
-    out.sort(key=lambda c: (c.index, c.value, c.generators))
-    return out
-
-
-def _minima(points: np.ndarray) -> list:
-    return [
-        CriticalPoint(0, points[i].copy(), 0.0, (i,)) for i in range(len(points))
-    ]
+            union = sorted(set(gens[group].ravel().tolist()) - {-1})
+            k = len(union) - 1 if len(group) == 1 else affine_rank(points[union])
+            merged.append((k, union, min(strict_members)))
+    out_gens = gens[rows]
+    if merged:
+        wide = max(width, max(len(u) for _, u, _ in merged))
+        out_gens = np.pad(out_gens, ((0, 0), (0, wide - width)), constant_values=-1)
+        extra = np.full((len(merged), wide), -1, dtype=np.int64)
+        for r, (_, union, _) in enumerate(merged):
+            extra[r, :len(union)] = union
+        out_gens = np.concatenate([out_gens, extra])
+        index = np.concatenate([index, [k for k, _, _ in merged]])
+        rows = np.concatenate([rows, [rep for _, _, rep in merged]])
+    out_values = values[rows]
+    perm = np.lexsort([*out_gens.T[::-1], out_values, index])
+    return CriticalPoints(points, index[perm], out_gens[perm],
+                          centers[rows[perm]], out_values[perm])
 
 
 def _as_points(cloud) -> np.ndarray:
     if isinstance(cloud, PointCloud):
         return cloud.points
-    return np.asarray(cloud, dtype=float)
+    points = np.asarray(cloud, dtype=float)
+    return points.reshape(0, 0) if points.ndim == 1 and len(points) == 0 else points
 
 
 def is_generating(generators, cloud, eps=GLOBAL) -> bool:
@@ -273,10 +339,9 @@ def is_generating(generators, cloud, eps=GLOBAL) -> bool:
 def enumerate_brute(cloud, eps=GLOBAL, k_max=None, cap=None):
     """Exhaustive oracle over all (k+1)-subsets, 1 <= k <= k_max."""
     points = _as_points(cloud)
-    n, d = points.shape if points.size else (len(points), 0)
+    n, d = points.shape
     if n == 0:
-        return []
-    d = points.shape[1]
+        return _resolve_ties(points, [])
     k_max = d if k_max is None else min(k_max, d)
     is_global = eps is None or math.isinf(eps)
     limit = cap if cap is not None else (
@@ -294,7 +359,7 @@ def enumerate_brute(cloud, eps=GLOBAL, k_max=None, cap=None):
             if chunk.size == 0:
                 break
             batches.append(_evaluate_batch(points, chunk, e, tree))
-    return _minima(points) + _resolve_ties(points, batches)
+    return _resolve_ties(points, batches)
 
 
 def enumerate_grid(cloud, eps, k_max=None):
@@ -307,7 +372,7 @@ def enumerate_grid(cloud, eps, k_max=None):
     """
     points = _as_points(cloud)
     if len(points) == 0:
-        return []
+        return _resolve_ties(points, [])
     if eps is not None and math.isinf(eps):
         eps = None
     if eps is not None and eps <= 0:
@@ -331,7 +396,7 @@ def enumerate_grid(cloud, eps, k_max=None):
         while len(subsets) < k_max and len(subsets[-1]):
             subsets.append(expand_cliques(subsets[-1], pairs, n)[0])
     batches = [_evaluate_batch(points, arr, eps, tree) for arr in subsets[:k_max] if len(arr)]
-    return _minima(points) + _resolve_ties(points, batches)
+    return _resolve_ties(points, batches)
 
 
 def _pick_strategy(n: int, d: int, edges: int) -> str:
@@ -349,14 +414,22 @@ def enumerate_global(cloud, k_max=None, cap=GLOBAL_CAP):
 
 
 def counts(critical_points, n: int, eps: float, d: int | None = None) -> CriticalCounts:
-    """Tally critical points by index; index 0 is always the n minima."""
-    if d is None:
-        d = max((c.index for c in critical_points), default=1)
-    by_index = np.zeros(d + 1, dtype=np.int64)
+    """Tally critical points by index; index 0 is always the n minima.
+
+    ``critical_points`` is a ``CriticalPoints`` result, which gives d
+    when it is not passed, or an iterable of ``CriticalPoint`` (d then
+    from the length of their centers).
+    """
+    if isinstance(critical_points, CriticalPoints):
+        index = critical_points.index
+        d = critical_points.d if d is None else d
+    else:
+        cps = list(critical_points)
+        index = np.array([c.index for c in cps], dtype=np.int64)
+        if d is None:
+            d = np.size(cps[0].center) if cps else 1
+    by_index = np.bincount(index, minlength=d + 1)
     by_index[0] = n
-    for c in critical_points:
-        if c.index >= 1:
-            by_index[c.index] += 1
     return CriticalCounts(by_index, eps, n)
 
 
@@ -425,14 +498,8 @@ def critical_values_by_index(points: np.ndarray, k_max: int | None = None) -> di
     values <= eps and the global count is the array length.
     """
     cps = enumerate_global(points, k_max=k_max)
-    points = _as_points(points)
-    d = points.shape[1]
-    k_max = d if k_max is None else min(k_max, d)
-    out = {k: [] for k in range(1, k_max + 1)}
-    for c in cps:
-        if 1 <= c.index <= k_max:
-            out[c.index].append(c.value)
-    return {k: np.sort(np.asarray(v)) for k, v in out.items()}
+    k_max = cps.d if k_max is None else min(k_max, cps.d)
+    return {k: np.sort(cps.values[cps.index == k]) for k in range(1, k_max + 1)}
 
 
 # -- serialization ------------------------------------------------------------

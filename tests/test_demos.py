@@ -1,0 +1,19 @@
+"""The demos run to completion against the package sources."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("demo", ["01_critical_points_tour.py", "02_cech_versus_flag.py"])
+def test_demo_exits_cleanly(demo):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

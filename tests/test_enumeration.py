@@ -1,7 +1,7 @@
 """Critical-point enumeration: hand examples, oracle equivalence of both
 candidate sources (cliques and Delaunay faces), the choice between them,
-the shared clique expander, caps, tie rule, degenerate input,
-serialization."""
+the shared clique expander, caps, tie rule, degenerate input, the array
+result and its object view, serialization."""
 
 import itertools
 import logging
@@ -19,6 +19,7 @@ from randcech.enumeration import (
     count_index1,
     counts,
     critical_values_by_index,
+    delaunay_subsets,
     enumerate_brute,
     enumerate_global,
     enumerate_grid,
@@ -40,6 +41,10 @@ def cloud_of(points):
 
 def _multiset(cps):
     return sorted((cp.index, round(cp.value, 9)) for cp in cps)
+
+
+def _exact(cps):
+    return [(cp.index, cp.generators, cp.value) for cp in cps]
 
 
 # --------------------------------------------------------------- hand examples
@@ -126,9 +131,10 @@ def test_obtuse_triangle_has_no_maximum():
 
 
 def test_empty_and_singleton_clouds():
-    assert enumerate_grid(cloud_of(np.empty((0, 2))), 0.5) == []
+    empty = enumerate_grid(cloud_of(np.empty((0, 2))), 0.5)
+    assert len(empty) == 0 and list(empty) == []
     cps = enumerate_grid(cloud_of([(0.3, 0.7)]), 0.5)
-    assert len(cps) == 1 and cps[0].index == 0
+    assert len(cps) == 1 and [cp.index for cp in cps] == [0]
 
 
 def test_pair_index1_threshold():
@@ -149,8 +155,9 @@ def _paths(caplog):
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_grid_equals_brute_random_clouds(d, caplog):
-    """enumerate_grid equals the oracle on 30 clouds per dimension, and
-    both candidate sources run among them."""
+    """enumerate_grid equals the oracle on 30 clouds per dimension, in
+    (index, generators, exact value) and in counts, and both candidate
+    sources run among them."""
     f = uniform_box(d)
     inputs = []
     for trial in range(20):
@@ -162,7 +169,12 @@ def test_grid_equals_brute_random_clouds(d, caplog):
         inputs.append((sample_iid(f, 40, rng), float(rng.uniform(0.1, 0.4))))
     with caplog.at_level(logging.DEBUG, logger="randcech.enumeration"):
         for cloud, eps in inputs:
-            assert _multiset(enumerate_brute(cloud, eps)) == _multiset(enumerate_grid(cloud, eps))
+            brute, grid = enumerate_brute(cloud, eps), enumerate_grid(cloud, eps)
+            assert _multiset(brute) == _multiset(grid)
+            assert _exact(brute) == _exact(grid)
+            for result in (brute, grid):
+                assert (counts(result, cloud.n, eps).by_index.tolist()
+                        == counts(list(result), cloud.n, eps).by_index.tolist())
     assert set(_paths(caplog)) == {"grid", "delaunay"}
 
 
@@ -297,6 +309,12 @@ def test_close_pairs_sorted_and_complete():
     assert np.array_equal(pairs, np.stack([i, j], axis=1))
 
 
+def test_delaunay_face_keys_refuse_to_overflow():
+    """Triangle keys i n^2 + j n + k wrap int64 beyond n = 2^21 points."""
+    with pytest.raises(ValueError, match="overflow"):
+        delaunay_subsets(np.zeros((2**21 + 1, 3)), 2)
+
+
 # ---------------------------------------------------------------- invariants
 
 def test_emitted_points_verify_independently():
@@ -311,6 +329,43 @@ def test_emitted_points_verify_independently():
 def test_counts_injects_minima():
     cc = counts([], 5, 0.25, 2)
     assert list(cc.by_index) == [5, 0, 0]
+
+
+def test_counts_take_d_from_the_cloud():
+    """Without d, counts have d + 1 entries even when no index-d point
+    lies below eps, for the result and for its object view."""
+    cloud = sample_iid(uniform_box(3), 200, substream(1, 0))
+    cps = enumerate_grid(cloud, 0.02)
+    assert (cps.n, cps.d) == (200, 3)
+    assert list(counts(cps, 200, 0.02).by_index) == [200, 5, 0, 0]
+    assert list(counts(list(cps), 200, 0.02).by_index) == [200, 5, 0, 0]
+
+
+def test_counting_builds_no_objects(monkeypatch, caplog):
+    """Counts, sorted values, experiment trials and Euler phases read the
+    arrays: no CriticalPoint is built on either candidate source."""
+    import randcech.enumeration as enumeration
+    from randcech.experiments import ExperimentConfig, _trial_counts, euler_phase
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a CriticalPoint was built")
+
+    monkeypatch.setattr(enumeration, "CriticalPoint", refuse)
+    dense = sample_iid(uniform_box(2), 2000, substream(113, 0))
+    sparse = sample_iid(uniform_box(2), 2000, substream(113, 1))
+    with caplog.at_level(logging.DEBUG, logger="randcech.enumeration"):
+        for cloud, eps in ((dense, (4.0 / 2000) ** 0.5), (sparse, 0.01)):
+            result = enumerate_grid(cloud, eps)
+            assert counts(result, cloud.n, eps).by_index[0] == 2000
+            assert set(_trial_counts(cloud.points, eps, 2, (1, 2))) == {0, 1, 2}
+    assert _paths(caplog) == ["delaunay"] * 2 + ["grid"] * 2
+    values = critical_values_by_index(dense.points[:300])
+    assert len(values[1]) > len(values[2]) > 0
+    res = euler_phase(ExperimentConfig(mode="euler_phase", d=2, k_targets=(1, 2),
+                                       n_schedule=(500,), trials=1, seed=113))
+    assert res["audited"] == 1
+    with pytest.raises(AssertionError, match="CriticalPoint"):
+        list(result)
 
 
 def test_critical_values_by_index_thresholding():
