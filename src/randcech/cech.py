@@ -18,14 +18,14 @@ radius (Morse counting).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geometry import TAU_GEOM, min_enclosing_radii_batch
-from .enumeration import CliqueBudgetExceeded, close_pairs, expand_cliques
-from .pointproc import PointCloud
+from .geometry import at_most, local_frame, min_enclosing_radii_batch, widen
+from .enumeration import CliqueBudgetExceeded, _as_points, close_pairs, expand_cliques
 
 MAX_SIMPLICES = 2_000_000
 BETTI_BUDGET = 200_000_000  # bit-operations budget for GF(2) elimination
@@ -66,12 +66,6 @@ class CechComplex:
         return int(sum(len(a) for a in self.simplices.values()))
 
 
-def _as_points(cloud) -> np.ndarray:
-    if isinstance(cloud, PointCloud):
-        return cloud.points
-    return np.asarray(cloud, dtype=float)
-
-
 def build_cech(cloud, eps: float, dim_cap: int | None = None,
                max_simplices: int = MAX_SIMPLICES) -> CechComplex:
     """Cech complex at radius eps, optionally capped at dimension dim_cap.
@@ -89,12 +83,13 @@ def build_cech(cloud, eps: float, dim_cap: int | None = None,
     cx.simplices[0] = np.arange(n, dtype=np.int64)[:, None]
     if n < 2:
         return cx
+    points, _, scale = local_frame(points)
     tree = cKDTree(points)
-    pairs = close_pairs(tree, 2.0 * eps + 2.0 * TAU_GEOM)
+    pairs = close_pairs(tree, 2.0 * widen(eps, scale))
     # edge certificate: miniball radius = half the edge length
     radii = 0.5 * np.linalg.norm(points[pairs[:, 0]] - points[pairs[:, 1]], axis=1)
-    edges = pairs[radii <= eps + TAU_GEOM]
-    radii = radii[radii <= eps + TAU_GEOM]
+    keep = at_most(radii, eps, scale)
+    edges, radii = pairs[keep], radii[keep]
     if len(edges) == 0:
         return cx
     cx.simplices[1] = edges
@@ -119,7 +114,7 @@ def build_cech(cloud, eps: float, dim_cap: int | None = None,
             nxt_radii = _incremental_miniball_radii(
                 points, nxt, level_radii[parents]
             )
-            keep = nxt_radii <= eps + TAU_GEOM
+            keep = at_most(nxt_radii, eps, scale)
             nxt, nxt_radii = nxt[keep], nxt_radii[keep]
         if len(nxt) == 0:
             break
@@ -142,26 +137,24 @@ def _incremental_miniball_radii(points, simplices, parent_radii,
     (covered by parent_radii) or contains the new last vertex, so only
     the subsets through the new vertex need evaluating.
     """
-    import itertools
-
     m, size = simplices.shape
     d = points.shape[1]
     if size <= d + 1:
         return min_enclosing_radii_batch(points[simplices])
-    combos = np.asarray(
-        list(itertools.combinations(range(size - 1), d)), dtype=np.int64
-    )
+    combos = np.asarray(list(itertools.combinations(range(size - 1), d)), dtype=np.int64)
     out = np.empty(m)
     for lo in range(0, m, chunk):
         batch = simplices[lo : lo + chunk]
         b = len(batch)
-        base = points[batch[:, combos]]  # (b, nc, d, dim)
-        new = np.broadcast_to(
-            points[batch[:, -1]][:, None, None, :], (b, len(combos), 1, d)
-        )
-        stacks = np.concatenate([base, new], axis=2).reshape(-1, d + 1, d)
-        radii = min_enclosing_radii_batch(stacks).reshape(b, len(combos))
-        out[lo : lo + chunk] = radii.max(axis=1)
+        new = np.broadcast_to(batch[:, -1, None, None], (b, len(combos), 1))
+        subsets = np.concatenate([batch[:, combos], new], axis=2).reshape(-1, d + 1)
+        # evaluate each subset once: fold columns into ranks, no overflow
+        key = subsets[:, 0]
+        for col in subsets[:, 1:].T:
+            key = np.unique(key, return_inverse=True)[1] * len(points) + col
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        radii = min_enclosing_radii_batch(points[subsets[first]])[inverse]
+        out[lo : lo + chunk] = radii.reshape(b, len(combos)).max(axis=1)
     return np.maximum(out, parent_radii)
 
 

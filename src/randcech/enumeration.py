@@ -39,7 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import Delaunay, cKDTree
 
-from .geometry import TAU_GEOM, TAU_HULL, affine_rank, circumspheres_batch
+from .geometry import (affine_rank, at_least, at_most, circumspheres_batch, hull_membership,
+                       in_relative_interior, local_frame, require_distinct, same_sphere, widen)
 from .pointproc import PointCloud
 
 log = logging.getLogger(__name__)
@@ -184,13 +185,15 @@ def delaunay_subsets(points: np.ndarray, k_max: int) -> dict:
     """Candidate (k+1)-subsets from the faces of the Delaunay complex,
     sorted rows in lexicographic order.
 
-    Proper faces are deduplicated by base-n integer keys, which fit in
-    int64 while n^d <= 2^63; the cells are distinct already.
+    Qhull sees the centred cloud scaled to unit size.  Proper faces are
+    deduplicated by base-n integer keys, which fit in int64 while
+    n^d <= 2^63; the cells are distinct already.
     """
     n, d = points.shape
     if n ** min(k_max + 1, d) > 2**63:
         raise ValueError(f"n = {n} points overflow the int64 keys of Delaunay faces in d = {d}")
-    tri = Delaunay(points, qhull_options="QJ Pp")
+    local, _, scale = local_frame(points)
+    tri = Delaunay(local / (scale or 1.0), qhull_options="QJ Pp")
     cells = np.sort(tri.simplices, axis=1).astype(np.int64)
     width = cells.shape[1]
     out = {}
@@ -219,7 +222,7 @@ def delaunay_subsets(points: np.ndarray, k_max: int) -> dict:
 # candidate evaluation
 
 
-def _evaluate_batch(points, subsets, eps, tree, keep_weak=True):
+def _evaluate_batch(frame, subsets, eps):
     """Apply CP1-CP3 to an (m, k+1) array of candidate subsets.
 
     Returns the passing candidates (CP2, CP3 and at least the relaxed
@@ -227,39 +230,42 @@ def _evaluate_batch(points, subsets, eps, tree, keep_weak=True):
     ``strict`` marks genuine CP1 passes, relaxed-only passes are
     retained for the cospherical tie rule.
     """
+    points, _, tree, scale = frame
     subsets = np.asarray(subsets, dtype=np.int64)
     centers, radii, bary, ok = circumspheres_batch(points[subsets])
-    strict = ok & np.all(bary > TAU_HULL, axis=1)
-    weak = ok & np.all(bary > -TAU_GEOM, axis=1)
-    mask = weak if keep_weak else strict
+    strict, weak = hull_membership(bary)
+    mask = weak & ok
     if eps is not None and np.isfinite(eps):
-        mask = mask & (radii <= eps + TAU_GEOM)
+        mask = mask & at_most(radii, eps, scale)
     idx = np.nonzero(mask)[0]
     if len(idx):
         # CP2: the nearest cloud point to the center must be no closer
-        # than R - tau (the generators themselves lie at distance exactly R).
+        # than R (the generators themselves lie at distance exactly R).
         dmin, _ = tree.query(centers[idx], k=1, workers=-1)
-        idx = idx[dmin >= radii[idx] - TAU_GEOM]
+        idx = idx[at_least(dmin, radii[idx], scale)]
     return subsets[idx], centers[idx], radii[idx], strict[idx]
 
 
-def _resolve_ties(points: np.ndarray, batches: list) -> CriticalPoints:
+def _resolve_ties(points: np.ndarray, frame, batches: list) -> CriticalPoints:
     """Collapse cospherical degeneracies into the critical points.
 
-    ``batches`` are outputs of ``_evaluate_batch``.  Two candidates tie
-    when their values and centers both agree within ``TAU_GEOM`` times
-    the value.  A group of tied candidates emits a single critical
-    point iff some member passes the strict open-hull test; a group of
-    several generating subsets sharing one center emits one point whose
-    index is the affine dimension of the union of the generators.
-    Candidates are sorted by value once; only runs of near-equal values
-    are grouped, in Python.
+    ``batches`` are outputs of ``_evaluate_batch`` in the ``_frame`` of
+    ``points``; centers go back to the cloud's frame.  Two candidates tie
+    when their circumspheres agree.  A group of tied candidates emits a
+    single critical point iff some member passes the strict open-hull
+    test and, for several members, their center lies in the relative
+    interior of the hull of the union of their generators (not so the
+    hypotenuse midpoint of a right triangle, where an edge and a
+    triangle enter together); its index is the affine dimension of that
+    union.  Candidates are sorted by value once; only runs of near-equal
+    values are grouped, in Python.
     """
     batches = [b for b in batches if len(b[0])]
     if not batches:
         return CriticalPoints(points, np.empty(0, dtype=np.int64),
                               np.empty((0, 1), dtype=np.int64),
                               np.empty((0, points.shape[1])), np.empty(0))
+    local, origin = frame[:2]
     # One row per candidate: its generators, padded with -1.
     width = max(b[0].shape[1] for b in batches)
     gens = np.concatenate([np.pad(b[0], ((0, 0), (0, width - b[0].shape[1])),
@@ -270,7 +276,7 @@ def _resolve_ties(points: np.ndarray, batches: list) -> CriticalPoints:
 
     order = np.argsort(values, kind="stable")
     v = values[order]
-    near = np.diff(v) <= TAU_GEOM * v[1:]
+    near = at_least(v[:-1], v[1:], v[1:])
     tied = np.zeros(len(v), dtype=bool)
     tied[:-1] |= near
     tied[1:] |= near
@@ -281,11 +287,9 @@ def _resolve_ties(points: np.ndarray, batches: list) -> CriticalPoints:
     for run in np.split(order[tied], np.nonzero(np.diff(run_id))[0] + 1):
         groups: list = []
         for i in run.tolist():
-            tol = TAU_GEOM * values[i]
             for group in groups:
                 j = group[0]
-                if (abs(values[i] - values[j]) <= tol
-                        and np.linalg.norm(centers[i] - centers[j]) <= tol):
+                if same_sphere(centers[i], values[i], centers[j], values[j]):
                     group.append(i)
                     break
             else:
@@ -295,7 +299,9 @@ def _resolve_ties(points: np.ndarray, batches: list) -> CriticalPoints:
             if not strict_members:
                 continue
             union = sorted(set(gens[group].ravel().tolist()) - {-1})
-            k = len(union) - 1 if len(group) == 1 else affine_rank(points[union])
+            if len(group) > 1 and not in_relative_interior(centers[group[0]], local[union]):
+                continue
+            k = len(union) - 1 if len(group) == 1 else affine_rank(local[union])
             merged.append((k, union, min(strict_members)))
     out_gens = gens[rows]
     if merged:
@@ -310,7 +316,7 @@ def _resolve_ties(points: np.ndarray, batches: list) -> CriticalPoints:
     out_values = values[rows]
     perm = np.lexsort([*out_gens.T[::-1], out_values, index])
     return CriticalPoints(points, index[perm], out_gens[perm],
-                          centers[rows[perm]], out_values[perm])
+                          centers[rows[perm]] + origin, out_values[perm])
 
 
 def _as_points(cloud) -> np.ndarray:
@@ -320,16 +326,23 @@ def _as_points(cloud) -> np.ndarray:
     return points.reshape(0, 0) if points.ndim == 1 and len(points) == 0 else points
 
 
+def _frame(points):
+    """Local frame, origin, k-d tree and scale of the points; coincident ones raise."""
+    local, origin, scale = local_frame(points)
+    tree = cKDTree(local)
+    require_distinct(tree, scale)
+    return local, origin, tree, scale
+
+
 def is_generating(generators, cloud, eps=GLOBAL) -> bool:
     """CP1 + CP2 (+ CP3 unless eps is GLOBAL) for one subset of indices."""
     points = _as_points(cloud)
     subset = np.asarray(sorted(int(i) for i in generators), dtype=np.int64)
     if len(set(subset)) != len(subset):
         raise ValueError("generator indices must be distinct")
-    tree = cKDTree(points)
     e = None if eps is None or math.isinf(eps) else float(eps)
-    found, _, _, _ = _evaluate_batch(points, subset[None, :], e, tree, keep_weak=False)
-    return len(found) == 1
+    found, _, _, strict = _evaluate_batch(_frame(points), subset[None, :], e)
+    return len(found) == 1 and bool(strict[0])
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +354,7 @@ def enumerate_brute(cloud, eps=GLOBAL, k_max=None, cap=None):
     points = _as_points(cloud)
     n, d = points.shape
     if n == 0:
-        return _resolve_ties(points, [])
+        return _resolve_ties(points, None, [])
     k_max = d if k_max is None else min(k_max, d)
     is_global = eps is None or math.isinf(eps)
     limit = cap if cap is not None else (
@@ -350,7 +363,7 @@ def enumerate_brute(cloud, eps=GLOBAL, k_max=None, cap=None):
     if n > limit:
         raise OracleCapExceeded(f"n={n} exceeds brute-force cap {limit}")
     e = None if is_global else float(eps)
-    tree = cKDTree(points)
+    frame = _frame(points)
     batches = []
     for k in range(1, k_max + 1):
         combos = itertools.combinations(range(n), k + 1)
@@ -358,8 +371,8 @@ def enumerate_brute(cloud, eps=GLOBAL, k_max=None, cap=None):
             chunk = np.array(list(itertools.islice(combos, 100_000)), dtype=np.int64)
             if chunk.size == 0:
                 break
-            batches.append(_evaluate_batch(points, chunk, e, tree))
-    return _resolve_ties(points, batches)
+            batches.append(_evaluate_batch(frame, chunk, e))
+    return _resolve_ties(points, frame, batches)
 
 
 def enumerate_grid(cloud, eps, k_max=None):
@@ -372,31 +385,30 @@ def enumerate_grid(cloud, eps, k_max=None):
     """
     points = _as_points(cloud)
     if len(points) == 0:
-        return _resolve_ties(points, [])
+        return _resolve_ties(points, None, [])
     if eps is not None and math.isinf(eps):
         eps = None
     if eps is not None and eps <= 0:
         raise ValueError("eps must be > 0")
     n, d = points.shape
     k_max = d if k_max is None else min(k_max, d)
-    tree = cKDTree(points)
+    frame = local, _, tree, scale = _frame(points)
     if eps is None:
         pairs, edges = None, n * (n - 1) // 2
     else:
-        pairs = close_pairs(tree, 2.0 * eps + 2.0 * TAU_GEOM)
+        pairs = close_pairs(tree, 2.0 * widen(eps, scale))
         edges = len(pairs)
     strategy = _pick_strategy(n, d, edges)
     log.debug("%s candidates: n = %d, %d edges in the 2 eps graph", strategy, n, edges)
     if strategy == "delaunay":
-        subsets = list(delaunay_subsets(points, k_max).values())
+        subsets = list(delaunay_subsets(local, k_max).values())
     else:
         if pairs is None:
             pairs = np.column_stack(np.triu_indices(n, 1)).astype(np.int64)
         subsets = [pairs]
         while len(subsets) < k_max and len(subsets[-1]):
             subsets.append(expand_cliques(subsets[-1], pairs, n)[0])
-    batches = [_evaluate_batch(points, arr, eps, tree) for arr in subsets[:k_max] if len(arr)]
-    return _resolve_ties(points, batches)
+    return _resolve_ties(points, frame, [_evaluate_batch(frame, arr, eps) for arr in subsets])
 
 
 def _pick_strategy(n: int, d: int, edges: int) -> str:
@@ -435,8 +447,6 @@ def counts(critical_points, n: int, eps: float, d: int | None = None) -> Critica
 
 def verify_critical_point(cloud, cp: CriticalPoint, tol: float = 1e-6) -> bool:
     """Independent post-hoc audit of one emitted critical point."""
-    from .geometry import circumsphere, general_position, in_open_convex_hull
-
     points = _as_points(cloud)
     gen = np.asarray(cp.generators, dtype=np.int64)
     if cp.index == 0:
@@ -446,26 +456,20 @@ def verify_critical_point(cloud, cp: CriticalPoint, tol: float = 1e-6) -> bool:
         # degenerate merged point: only check center/value consistency
         dists = np.linalg.norm(pts - cp.center, axis=1)
         return bool(np.all(np.abs(dists - cp.value) < tol))
-    if not general_position(pts):
+    centers, radii, bary, ok = circumspheres_batch(pts[None])
+    if not (ok[0] and hull_membership(bary[0])[0]):
         return False
-    sph = circumsphere(pts)
-    if np.linalg.norm(sph.center - cp.center) > tol or abs(sph.radius - cp.value) > tol:
+    if np.linalg.norm(centers[0] - cp.center) > tol or abs(radii[0] - cp.value) > tol:
         return False
-    if not in_open_convex_hull(sph.center, pts):
-        return False
-    others = np.delete(points, gen, axis=0)
-    if len(others):
-        dmin = np.min(np.linalg.norm(others - sph.center, axis=1))
-        if dmin < sph.radius - TAU_GEOM:
-            return False
-    return True
+    others = np.linalg.norm(np.delete(points, gen, axis=0) - centers[0], axis=1)
+    return not len(others) or bool(at_least(others.min(), radii[0], local_frame(points)[2]))
 
 
 # ---------------------------------------------------------------------------
 # fast counting paths for experiments
 
 
-def count_index1(points: np.ndarray, eps: float, tree: cKDTree | None = None) -> int:
+def count_index1(points: np.ndarray, eps: float) -> int:
     """Number of index-1 critical points with value <= eps.
 
     For k = 1 the circumcenter is the midpoint (CP1 always holds), so
@@ -475,20 +479,20 @@ def count_index1(points: np.ndarray, eps: float, tree: cKDTree | None = None) ->
     points = np.asarray(points, dtype=float)
     if len(points) < 2:
         return 0
-    if tree is None:
-        tree = cKDTree(points)
-    pairs = tree.query_pairs(2.0 * eps + 2.0 * TAU_GEOM, output_type="ndarray")
+    points, _, scale = local_frame(points)
+    tree = cKDTree(points)
+    pairs = tree.query_pairs(2.0 * widen(eps, scale), output_type="ndarray")
     if len(pairs) == 0:
         return 0
     a = points[pairs[:, 0]]
     b = points[pairs[:, 1]]
     radii = 0.5 * np.linalg.norm(a - b, axis=1)
-    keep = radii <= eps + TAU_GEOM
+    keep = at_most(radii, eps, scale)
     if not np.any(keep):
         return 0
     mids = 0.5 * (a[keep] + b[keep])
     dmin, _ = tree.query(mids, k=1, workers=-1)
-    return int(np.sum(dmin >= radii[keep] - TAU_GEOM))
+    return int(np.sum(at_least(dmin, radii[keep], scale)))
 
 
 def critical_values_by_index(points: np.ndarray, k_max: int | None = None) -> dict:

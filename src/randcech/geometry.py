@@ -6,27 +6,28 @@ enclosing balls, and volumes of unions of two balls.  These are the
 building blocks for deciding whether a subset of a point cloud generates
 a critical point of the distance function, and for testing membership of
 a simplex in a Cech complex.
+
+This module alone decides what counts as degenerate, on a sphere or
+within a radius, each time relative to a scale: distances to the
+cloud's scale from ``local_frame``, in which callers evaluate every
+predicate, and singular values, ties and ball containment to the tuple.
+So the answers do not change when a cloud is scaled or translated.
 """
 
 from __future__ import annotations
 
+import itertools
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import betainc, gammaln
 
-# Absolute tolerance (model units) for rank tests, equidistance residuals
-# and conditioning cutoffs.  Random clouds make exact degeneracy
-# measure-zero, so a fixed absolute tolerance is enough.
-TAU_GEOM = 1e-9
-
-# Open-hull test uses strict inequalities on barycentric coordinates;
-# boundary configurations are classified as non-critical.
-TAU_HULL = 0.0
+TAU_GEOM = 1e-9  # relative slack of every comparison, rank cutoff and hull test
 
 
 class DegenerateConfiguration(ValueError):
-    """Raised when a circumsphere system is too ill-conditioned to solve."""
+    """Raised where a predicate needs affinely independent or distinct points."""
 
 
 @dataclass(frozen=True)
@@ -53,20 +54,60 @@ def ball_volume(radius: float, d: int) -> float:
     return unit_ball_volume(d) * radius**d
 
 
-def affine_rank(points: np.ndarray) -> int:
-    """Dimension of the affine hull of the given points.
+# -- comparisons and the local frame ------------------------------------------
 
-    Singular values of the difference matrix up to ``TAU_GEOM`` are
-    treated as zero (absolute cutoff).
-    """
+def widen(limit, scale):
+    """The largest value ``at_most(x, limit, scale)`` accepts."""
+    return limit + TAU_GEOM * scale
+
+
+def at_most(x, limit, scale):
+    """x <= limit up to the slack TAU_GEOM * scale."""
+    return x <= widen(limit, scale)
+
+
+def at_least(x, limit, scale):
+    """x >= limit up to the slack TAU_GEOM * scale."""
+    return x >= limit - TAU_GEOM * scale
+
+
+def same_sphere(c1, r1, c2, r2) -> bool:
+    """Radii and centers agree within TAU_GEOM times the larger radius."""
+    tol = TAU_GEOM * max(r1, r2)
+    return abs(r1 - r2) <= tol and np.linalg.norm(c1 - c2) <= tol
+
+
+def hull_membership(bary):
+    """(strict, weak): all barycentric coordinates > 0, and all > -TAU_GEOM."""
+    return np.all(bary > 0.0, axis=-1), np.all(bary > -TAU_GEOM, axis=-1)
+
+
+def local_frame(points):
+    """The points minus their centroid, the centroid, and the cloud's
+    scale: the side of the smallest cube about the centroid holding it."""
+    origin = np.einsum("ij->j", points) / len(points)  # 4x faster than mean(axis=0)
+    local = points - origin
+    return local, origin, 2.0 * float(np.abs(local).max())
+
+
+def require_distinct(tree, scale) -> None:
+    """Raise ``DegenerateConfiguration`` if two points coincide within TAU_GEOM * scale."""
+    pairs = tree.query_pairs(TAU_GEOM * scale, output_type="ndarray")
+    if len(pairs):
+        i, j = sorted(pairs[0].tolist())
+        raise DegenerateConfiguration(f"points {i} and {j} coincide (relative cutoff {TAU_GEOM:g})")
+
+
+def affine_rank(points: np.ndarray) -> int:
+    """Dimension of the affine hull of the given points: singular values
+    of the difference matrix above TAU_GEOM times the largest."""
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
         points = points.reshape(len(points), -1)
     if len(points) <= 1:
         return 0
-    diffs = points[1:] - points[0]
-    s = np.linalg.svd(diffs, compute_uv=False)
-    return int(np.sum(s > TAU_GEOM))
+    s = np.linalg.svd(points[1:] - points[0], compute_uv=False)
+    return int(np.sum(s > TAU_GEOM * s[0]))
 
 
 def general_position(points) -> bool:
@@ -82,49 +123,48 @@ def general_position(points) -> bool:
     return affine_rank(points) == k
 
 
-def circumsphere(points) -> CircumSphere:
-    """Center and radius of the unique (k-1)-sphere through k+1 points.
+def _offsets(stacks, targets):
+    """Offsets v_i = p_i - p_0 and the Gram right-hand side: |v_i|^2 / 2, or v_i . (t - p_0)."""
+    v = stacks[:, 1:] - stacks[:, :1]
+    if targets is None:
+        return v, 0.5 * np.einsum("mij,mij->mi", v, v)
+    return v, np.einsum("mij,mj->mi", v, targets - stacks[:, 0])
 
-    The center is the point of the affine hull equidistant from all
-    inputs: ``circumspheres_batch`` on a single tuple.
+
+def _affine_solve(stacks, targets=None):
+    """Barycentric coordinates (m, k+1) of each tuple's circumcenter, or of
+    ``targets`` (m, d) in its affine hull, and ``ok`` (m,): the offsets'
+    smallest singular value exceeds TAU_GEOM times the largest.
+
+    Rows with det(G) > TAU_GEOM trace(G)^k (Gram eigenvalue ratio above
+    TAU_GEOM) are solved through G; the rest through the SVD (least-norm
+    if rank-deficient), pivoted at the vertex whose offsets make the
+    smallest largest dot product (for a triangle, the one opposite the
+    longest edge): a frame at an end of that edge rounds away |v_i|^2's thin part.
     """
-    points = np.asarray(points, dtype=float)
-    k = len(points) - 1
-    if k == 0:
-        return CircumSphere(points[0].copy(), 0.0, 0)
-    centers, radii, _, ok = circumspheres_batch(points[None])
-    if not ok[0]:
-        raise DegenerateConfiguration(
-            "circumsphere points are affinely dependent within tau_geom"
-        )
-    return CircumSphere(centers[0], float(radii[0]), k)
+    _, kp1, d = stacks.shape
+    v, rhs = _offsets(stacks, targets)
+    gram = v @ np.swapaxes(v, 1, 2)
+    ok = np.linalg.det(gram) > TAU_GEOM * np.trace(gram, axis1=1, axis2=2) ** (kp1 - 1)
+    w = np.linalg.solve(np.where(ok[:, None, None], gram, np.eye(kp1 - 1)), rhs[..., None])[..., 0]
+    bary = np.concatenate([1.0 - w.sum(axis=1, keepdims=True), w], axis=1)
+    low = np.nonzero(~ok)[0]
+    if len(low) and kp1 <= d + 1:
+        sub = stacks[low]
+        off = sub[:, None] - sub[:, :, None]  # off[r, i, j] = p_j - p_i
+        dots = np.einsum("rijx,rilx->rijl", off, off)
+        pivot = np.where(np.eye(kp1, dtype=bool), -np.inf, dots).max(axis=(2, 3)).argmin(axis=1)
+        perm = (pivot[:, None] + np.arange(kp1)) % kp1
+        v, rhs = _offsets(sub[np.arange(len(low))[:, None], perm],
+                          None if targets is None else targets[low])
+        u, s, _ = np.linalg.svd(v, full_matrices=False)
+        kept = s > TAU_GEOM * s[:, :1]
+        ok[low] = kept[:, -1]
+        inv = np.where(kept, 1.0 / np.where(kept, s, 1.0) ** 2, 0.0)
+        w = np.einsum("mij,mj->mi", u, inv * np.einsum("mji,mj->mi", u, rhs))
+        bary[low[:, None], perm] = np.concatenate([1.0 - w.sum(axis=1, keepdims=True), w], axis=1)
+    return bary, ok
 
-
-def barycentric_coordinates(c, points) -> np.ndarray:
-    """Barycentric coordinates of c with respect to k+1 affinely
-    independent points (c assumed in their affine hull)."""
-    points = np.asarray(points, dtype=float)
-    c = np.asarray(c, dtype=float)
-    v = points[1:] - points[0]
-    gram = v @ v.T
-    lam = np.linalg.solve(gram, v @ (c - points[0]))
-    return np.concatenate([[1.0 - lam.sum()], lam])
-
-
-def in_open_convex_hull(c, points) -> bool:
-    """True iff c lies strictly inside the convex hull of the points.
-
-    Realizes the indicator used by the first critical-point condition:
-    all barycentric coordinates strictly greater than ``TAU_HULL``.
-    """
-    lam = barycentric_coordinates(c, points)
-    return bool(np.all(lam > TAU_HULL))
-
-
-# -- batched variants -------------------------------------------------------
-#
-# Enumeration evaluates the same predicates on large arrays of candidate
-# subsets; these operate on an (m, k+1, d) stack in one shot.
 
 def circumspheres_batch(stacks: np.ndarray):
     """Circumcenters/radii/barycentric coordinates for m point tuples.
@@ -137,69 +177,71 @@ def circumspheres_batch(stacks: np.ndarray):
     -------
     centers : (m, d); radii : (m,); bary : (m, k+1); ok : (m,) bool
         ``ok`` is False where the smallest singular value of the offsets
-        is at most ``TAU_GEOM`` times the largest (the cutoff of
-        ``circumsphere``); the other outputs are undefined there.
+        is at most ``TAU_GEOM`` times the largest; the other outputs are
+        undefined there.
     """
     stacks = np.asarray(stacks, dtype=float)
-    m, kp1, d = stacks.shape
-    k = kp1 - 1
-    if k == 0:
-        return (
-            stacks[:, 0].copy(),
-            np.zeros(m),
-            np.ones((m, 1)),
-            np.ones(m, dtype=bool),
-        )
-    v = stacks[:, 1:, :] - stacks[:, :1, :]  # (m, k, d)
-    gram = v @ np.swapaxes(v, 1, 2)  # (m, k, k)
-    # Eigenvalues of the Gram matrix are squared singular values of v, but
-    # resolve their ratio only down to sqrt(machine epsilon): rows that
-    # fail this coarse test get the exact one on the singular values, and
-    # are solved through them, as in ``circumsphere``.
-    eig = np.linalg.eigvalsh(gram)
-    ok = eig[:, 0] > TAU_GEOM * eig[:, -1]
-    rhs = 0.5 * np.einsum("mij,mij->mi", v, v)
-    gram_safe = np.where(ok[:, None, None], gram, np.eye(k)[None])
-    w = np.linalg.solve(gram_safe, rhs[..., None])[..., 0]
-    low = np.nonzero(~ok)[0]
-    if k <= d and len(low):
-        u, s, _ = np.linalg.svd(v[low], full_matrices=False)
-        thin = s[:, -1] > TAU_GEOM * s[:, 0]
-        ok[low] = thin
-        ut_rhs = np.einsum("mji,mj->mi", u[thin], rhs[low[thin]])
-        w[low[thin]] = np.einsum("mij,mj->mi", u[thin], ut_rhs / s[thin] ** 2)
-    offsets = np.einsum("mi,mij->mj", w, v)
-    centers = stacks[:, 0, :] + offsets
-    radii = np.linalg.norm(offsets, axis=1)
-    bary = np.concatenate([(1.0 - w.sum(axis=1))[:, None], w], axis=1)
-    return centers, radii, bary, ok
+    bary, ok = _affine_solve(stacks)
+    offsets = np.einsum("mi,mij->mj", bary[:, 1:], stacks[:, 1:] - stacks[:, :1])
+    return stacks[:, 0] + offsets, np.linalg.norm(offsets, axis=1), bary, ok
+
+
+def circumsphere(points) -> CircumSphere:
+    """Center and radius of the unique (k-1)-sphere through k+1 points.
+
+    The center is the point of the affine hull equidistant from all
+    inputs: ``circumspheres_batch`` on a single tuple.
+    """
+    points = np.asarray(points, dtype=float)
+    centers, radii, _, ok = circumspheres_batch(points[None])
+    if not ok[0]:
+        raise DegenerateConfiguration("circumsphere points are affinely dependent")
+    return CircumSphere(centers[0], float(radii[0]), len(points) - 1)
+
+
+def barycentric_coordinates(c, points) -> np.ndarray:
+    """Barycentric coordinates of c with respect to k+1 affinely
+    independent points (c assumed in their affine hull)."""
+    bary, ok = _affine_solve(np.asarray(points, float)[None], np.asarray(c, float)[None])
+    if not ok[0]:
+        raise DegenerateConfiguration("hull points are affinely dependent")
+    return bary[0]
+
+
+def in_open_convex_hull(c, points) -> bool:
+    """True iff c lies strictly inside the convex hull of the points:
+    the indicator of the first critical-point condition."""
+    return bool(hull_membership(barycentric_coordinates(c, points))[0])
+
+
+def in_relative_interior(c, points) -> bool:
+    """True iff c, assumed in the affine hull of the points, lies in the
+    relative interior of their hull: max t subject to lam_i >= t, sum
+    lam_i = 1 and sum lam_i (p_i - c) = 0 (on the offsets' left singular
+    vectors above the cutoff, so thin hulls stay well posed) > TAU_GEOM."""
+    from scipy.optimize import linprog
+
+    q = np.asarray(points, dtype=float) - np.asarray(c, dtype=float)
+    m = len(q)
+    u, s, _ = np.linalg.svd(q, full_matrices=False)
+    a_eq = np.vstack([u[:, s > TAU_GEOM * s[0]].T, np.ones(m)])
+    res = linprog(np.r_[np.zeros(m), -1.0], A_ub=np.c_[-np.eye(m), np.ones(m)], b_ub=np.zeros(m),
+                  A_eq=np.c_[a_eq, np.zeros(len(a_eq))], b_eq=np.r_[np.zeros(len(a_eq) - 1), 1.0],
+                  method="highs-ds")
+    return res.status == 0 and -res.fun > TAU_GEOM
 
 
 # -- smallest enclosing ball -------------------------------------------------
 
-def _ball_of_boundary(points: np.ndarray):
-    """Smallest ball with all given points on its boundary."""
-    if len(points) == 0:
-        return np.zeros(points.shape[1] if points.ndim == 2 else 0), 0.0
-    if len(points) == 1:
-        return points[0].copy(), 0.0
-    v = points[1:] - points[0]
-    gram = v @ v.T
-    rhs = 0.5 * np.einsum("ij,ij->i", v, v)
-    try:
-        w = np.linalg.solve(gram, rhs)
-    except np.linalg.LinAlgError:
-        w = np.linalg.lstsq(gram, rhs, rcond=None)[0]
-    offset = w @ v
-    return points[0] + offset, float(np.linalg.norm(offset))
-
-
 def _welzl(pts: np.ndarray, idx: tuple, boundary: tuple, d: int):
     if not idx or len(boundary) == d + 1:
-        return _ball_of_boundary(pts[list(boundary)])
+        if not boundary:
+            return pts[0], -1.0  # the empty ball, which holds no point
+        centers, radii, _, _ = circumspheres_batch(pts[list(boundary)][None])
+        return centers[0], float(radii[0])
     p = idx[0]
     c, r = _welzl(pts, idx[1:], boundary, d)
-    if np.linalg.norm(pts[p] - c) <= r + TAU_GEOM:
+    if at_most(np.linalg.norm(pts[p] - c), r, r):
         return c, r
     return _welzl(pts, idx[1:], boundary + (p,), d)
 
@@ -220,8 +262,6 @@ def min_enclosing_ball(points) -> Ball:
     order = np.arange(len(pts))
     if len(pts) > d + 2:
         np.random.default_rng(0x5EED).shuffle(order)
-    import sys
-
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(max(old, 4 * len(pts) + 100))
     try:
@@ -234,76 +274,39 @@ def min_enclosing_ball(points) -> Ball:
 def min_enclosing_radii_batch(stacks: np.ndarray) -> np.ndarray:
     """Smallest-enclosing-ball radius for each (k+1)-tuple in a stack.
 
-    For tuples of up to d+1 points the optimum is attained on a support
-    subset; small tuple sizes make the per-row Welzl call cheap, but for
-    the common sizes (2 and 3 points) closed forms are used instead.
+    A support whose circumball holds the tuple, with its circumcenter in
+    the support's hull, is the miniball: no smaller ball holds the
+    support.  Supports are tried by size, 2 to k+1 (of the pairs only a
+    longest edge), each pass on the rows not resolved yet; a row's radius
+    is the smallest circumball seen that holds it.  Tuples of more than
+    d+1 points take the maximum over their (d+1)-subsets.
     """
     stacks = np.asarray(stacks, dtype=float)
     m, kp1, d = stacks.shape
-    if kp1 == 1:
-        return np.zeros(m)
-    if kp1 == 2:
-        return 0.5 * np.linalg.norm(stacks[:, 1] - stacks[:, 0], axis=1)
-    if kp1 == 3:
-        return _min_ball_radius_3(stacks)
-    if kp1 == 4:
-        return _min_ball_radius_4(stacks)
-    return np.array([min_enclosing_ball(row).radius for row in stacks])
-
-
-def _min_ball_radius_3(stacks: np.ndarray) -> np.ndarray:
-    """Miniball radius of point triples: the longest edge's diametral
-    ball if it contains the third point, else the circumball."""
-    a, b, c = stacks[:, 0], stacks[:, 1], stacks[:, 2]
-    radii = np.empty(len(stacks))
-    best = np.full(len(stacks), np.inf)
-    for p, q, r in ((a, b, c), (a, c, b), (b, c, a)):
-        mid = 0.5 * (p + q)
-        rad = 0.5 * np.linalg.norm(q - p, axis=1)
-        inside = np.linalg.norm(r - mid, axis=1) <= rad + TAU_GEOM
-        cand = np.where(inside, rad, np.inf)
-        best = np.minimum(best, cand)
-    need_circ = ~np.isfinite(best)
-    radii[:] = best
-    if np.any(need_circ):
-        _, rr, _, ok = circumspheres_batch(stacks[need_circ])
-        # Degenerate (collinear) triples are covered by an edge ball above.
-        rr = np.where(ok, rr, 0.0)
-        radii[need_circ] = rr
-    return radii
-
-
-def _min_ball_radius_4(stacks: np.ndarray) -> np.ndarray:
-    """Miniball radius of 4-point tuples.
-
-    Welzl's characterization: the miniball is the smallest ball whose
-    boundary subset (a pair's diametral ball, a triple's circumball, or
-    the 4-point circumball) contains all four points.
-    """
-    import itertools as _it
-
-    m, _, d = stacks.shape
-    best = np.full(m, np.inf)
-    for i, j in _it.combinations(range(4), 2):
-        mid = 0.5 * (stacks[:, i] + stacks[:, j])
-        rad = 0.5 * np.linalg.norm(stacks[:, i] - stacks[:, j], axis=1)
-        ok = _contains_all(stacks, mid, rad)
-        best = np.where(ok, np.minimum(best, rad), best)
-    subsets = list(_it.combinations(range(4), 3)) + ([tuple(range(4))] if d >= 3 else [])
-    for combo in subsets:
-        centers, radii, _, ok = circumspheres_batch(stacks[:, combo, :])
-        ok &= _contains_all(stacks, centers, radii)
-        best = np.where(ok, np.minimum(best, radii), best)
-    # degenerate leftovers (exactly collinear/coplanar rows): fall back
-    bad = ~np.isfinite(best)
-    if np.any(bad):
-        best[bad] = [min_enclosing_ball(row).radius for row in stacks[bad]]
+    if kp1 > d + 1:
+        combos = list(itertools.combinations(range(kp1), d + 1))
+        radii = min_enclosing_radii_batch(stacks[:, combos].reshape(-1, d + 1, d))
+        return radii.reshape(m, len(combos)).max(axis=1)
+    best = np.full(m, np.inf if kp1 > 1 else 0.0)
+    rows = np.arange(m)
+    for size in range(2, kp1 + 1):
+        tuples = stacks[rows]
+        supports = np.array(list(itertools.combinations(range(kp1), size)))
+        if size == 2:
+            edge = tuples[:, supports[:, 0]] - tuples[:, supports[:, 1]]
+            ends = supports[np.einsum("rei,rei->re", edge, edge).argmax(axis=1)]
+            sub = tuples[np.arange(len(rows))[:, None], ends][:, None]
+        else:
+            sub = tuples[:, supports]
+        centers, radii, bary, ok = circumspheres_batch(sub.reshape(-1, size, d))
+        shape = sub.shape[:2]
+        gap = tuples[:, None] - centers.reshape(*shape, 1, d)
+        radii = radii.reshape(*shape, 1)
+        holds = np.all(at_most(np.linalg.norm(gap, axis=3), radii, radii), axis=2)
+        best[rows] = np.minimum(best[rows], np.where(holds, radii[..., 0], np.inf).min(axis=1))
+        inside = (ok & hull_membership(bary)[1]).reshape(shape)
+        rows = rows[~np.any(holds & inside, axis=1)]
     return best
-
-
-def _contains_all(stacks, centers, radii):
-    dist = np.linalg.norm(stacks - centers[:, None, :], axis=2)
-    return np.all(dist <= radii[:, None] + TAU_GEOM, axis=1)
 
 
 # -- volumes ----------------------------------------------------------------

@@ -46,6 +46,13 @@ def test_enumerate_global_degenerate_cloud(points, capsys, tmp_path):
     assert "alternating sum: 1" in capsys.readouterr().out
 
 
+def test_enumerate_coincident_points_is_config_error(capsys, tmp_path):
+    path = tmp_path / "coincident.csv"
+    save_cloud_csv(PointCloud(2, np.zeros((12, 2)) + 0.3), path)
+    assert main(["enumerate", "--cloud", str(path), "--eps", "0.6"]) == 2
+    assert "config error: points 0 and 1 coincide" in capsys.readouterr().err
+
+
 def test_enumerate_one_dimensional_cloud(capsys, tmp_path):
     path = tmp_path / "line.csv"
     save_cloud_csv(sample_iid(uniform_box(1), 1000, substream(3, 0)), path)

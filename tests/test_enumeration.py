@@ -30,8 +30,11 @@ from randcech.enumeration import (
     verify_critical_point,
 )
 from randcech.cech import build_cech, euler_characteristic
+from randcech.geometry import DegenerateConfiguration
 from randcech.pointproc import PointCloud, sample_iid, substream, uniform_box
 from scipy.spatial import cKDTree
+
+from conftest import random_rotation
 
 
 def cloud_of(points):
@@ -108,6 +111,62 @@ def test_tie_rule_keeps_near_coincident_critical_points():
     cc = counts(enumerate_grid(cloud, r), n, r, 2)
     assert cc.by_index[1] == count_index1(cloud.points, r) == 9493
     assert cc.alternating_sum() == euler_characteristic(build_cech(cloud.points, r)) == -441
+
+
+def _rings(m):
+    t = 2 * np.pi * np.arange(m) / m
+    inner = np.stack([np.cos(t), np.sin(t)], axis=1)
+    return np.vstack([inner, 2 * inner])
+
+
+@pytest.mark.parametrize("points, expected", [
+    ([(0, 0), (1, 0), (0, 1)], [3, 2, 0]),
+    ([(0, 0), (1, 0), (1, 1e-8)], [3, 2, 0]),
+    ([(0, 0), (1, 0), (0, 1), (1, 1)], [4, 4, 1]),
+    (_rings(5), [10, 10, 1]),
+    (_rings(8), [16, 24, 9]),
+    (_rings(12), [24, 36, 13]),
+], ids=["right", "thin-right", "square", "rings-5", "rings-8", "rings-12"])
+def test_tie_rule_needs_center_in_relative_interior(points, expected):
+    """A tie group is one critical point only when its center lies in the
+    relative interior of the hull of its generators: a right triangle's
+    hypotenuse midpoint is where the edge and the triangle enter together,
+    so it counts for neither.  The oracle agrees."""
+    pts = np.asarray(points, dtype=float)
+    for result in (enumerate_global(pts), enumerate_brute(pts, GLOBAL)):
+        cc = counts(result, len(pts), GLOBAL, 2)
+        assert list(cc.by_index) == expected
+        assert cc.alternating_sum() == 1
+
+
+def test_counts_and_morse_euler_identity_are_similarity_invariant():
+    """Scaling, translating, rotating or relabelling a cloud (with eps
+    scaled alike) keeps the counts, also those of the index-1 fast path,
+    and the Morse count equals chi(Cech) in every case."""
+    pts = sample_iid(uniform_box(2), 300, substream(9, 0)).points
+    rot = random_rotation(2, substream(9, 1))
+    perm = substream(9, 2).permutation(len(pts))
+    cases = [(pts * s, 0.06 * s) for s in (1e-6, 1e-3, 1.0, 1e3, 1e6)]
+    cases += [(pts + 1e6, 0.06), (pts @ rot.T, 0.06), (pts[perm], 0.06)]
+    for p, eps in cases:
+        cc = counts(enumerate_grid(p, eps), len(p), eps, 2)
+        assert list(cc.by_index) == [300, 557, 237]
+        assert count_index1(p, eps) == 557
+        assert cc.alternating_sum() == euler_characteristic(build_cech(p, eps)) == -20
+
+
+def test_coincident_points_raise_a_named_error():
+    """Every enumeration path refuses coincident points before Qhull;
+    the Cech complex takes them."""
+    pts = np.zeros((12, 2)) + 0.3
+    for eps in (0.05, 0.6, 1.5, GLOBAL):
+        with pytest.raises(DegenerateConfiguration, match="coincide"):
+            enumerate_grid(pts, eps)
+        with pytest.raises(DegenerateConfiguration, match="coincide"):
+            enumerate_brute(pts, eps)
+    with pytest.raises(DegenerateConfiguration):
+        enumerate_global(np.vstack([pts[:2], [(1.0, 1.0)]]))
+    assert euler_characteristic(build_cech(pts, 0.6)) == 1
 
 
 def test_collinear_four_points_global_counts():

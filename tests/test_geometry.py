@@ -136,6 +136,17 @@ def test_circumspheres_batch_cutoff_is_relative():
         assert ok.all() and radii[0] == pytest.approx(scale / 2, rel=1e-9)
 
 
+def test_circumspheres_batch_thin_right_triangle():
+    """The right angle of (0,0), (1,0), (1,1e-8) sits at (1,0): the
+    circumcenter is the hypotenuse midpoint, whose share h^2 of |v|^2 / 2
+    a frame at (0,0) rounds away."""
+    centers, radii, bary, ok = circumspheres_batch(np.array([[[0, 0], [1, 0], [1, 1e-8]]]))
+    assert ok[0]
+    assert np.allclose(bary[0], (0.5, 0.0, 0.5), rtol=0, atol=1e-12)
+    assert np.allclose(centers[0], (0.5, 0.5e-8), rtol=0, atol=1e-12)
+    assert radii[0] == pytest.approx(0.5, rel=1e-12)
+
+
 # ------------------------------------------------------------- hull membership
 
 def test_open_hull_equilateral_center():
