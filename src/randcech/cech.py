@@ -5,8 +5,11 @@ the smallest enclosing ball of Y has radius at most eps (equivalently,
 the eps-balls around Y have a common point).  The complex is built by
 expanding cliques of the 2*eps proximity graph level by level with the
 lower-neighbor expander that enumeration uses (``expand_cliques``, on
-k-d tree pairs), filtering each level by the miniball radius, so every
-simplex certificate is checked exactly.
+k-d tree pairs).  Up to level d each candidate's miniball radius is
+checked exactly.  Above it Helly's theorem decides: a set of more than
+d+1 points is a simplex iff all its (d+1)-subsets are, so membership is
+a sorted integer-key lookup in level d, and no larger miniball is
+computed.
 
 Betti numbers are computed over GF(2) by Gaussian elimination on
 boundary matrices (columns stored as bitmasks); beta_0 is cross-checked
@@ -88,12 +91,14 @@ def build_cech(cloud, eps: float, dim_cap: int | None = None,
     pairs = close_pairs(tree, 2.0 * widen(eps, scale))
     # edge certificate: miniball radius = half the edge length
     radii = 0.5 * np.linalg.norm(points[pairs[:, 0]] - points[pairs[:, 1]], axis=1)
-    keep = at_most(radii, eps, scale)
-    edges, radii = pairs[keep], radii[keep]
+    edges = pairs[at_most(radii, eps, scale)]
     if len(edges) == 0:
         return cx
     cx.simplices[1] = edges
-    level, level_radii = edges, radii
+    # keys[k - 1] holds level k's rows as sorted integer keys: the row of
+    # the prefix in level k-1 times n plus the last vertex (no overflow)
+    keys = [edges[:, 0] * n + edges[:, 1]]
+    level = edges
     j = 1
     while len(level) > 0:
         if cx.size > max_simplices:
@@ -111,11 +116,11 @@ def build_cech(cloud, eps: float, dim_cap: int | None = None,
                 break
             raise ComplexTooLarge(str(exc)) from exc
         if len(nxt):
-            nxt_radii = _incremental_miniball_radii(
-                points, nxt, level_radii[parents]
-            )
-            keep = at_most(nxt_radii, eps, scale)
-            nxt, nxt_radii = nxt[keep], nxt_radii[keep]
+            if j < d:
+                keep = at_most(min_enclosing_radii_batch(points[nxt]), eps, scale)
+            else:
+                keep = _helly_members(level, nxt, parents, keys, d, n)
+            nxt, parents = nxt[keep], parents[keep]
         if len(nxt) == 0:
             break
         if at_cap:
@@ -123,39 +128,41 @@ def build_cech(cloud, eps: float, dim_cap: int | None = None,
             break
         j += 1
         cx.simplices[j] = nxt
-        level, level_radii = nxt, nxt_radii
+        keys.append(parents * n + nxt[:, -1])
+        level = nxt
     return cx
 
 
-def _incremental_miniball_radii(points, simplices, parent_radii,
-                                chunk: int = 20_000) -> np.ndarray:
-    """Miniball radii of child simplices given exact parent radii.
+def _row_of(keys, key):
+    """Row of each key in the sorted ``keys``, or -1 where it is absent."""
+    pos = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
+    return np.where(keys[pos] == key, pos, -1)
 
-    The miniball radius of a set equals the maximum of miniball radii
-    over its subsets of at most d+1 points (the support set realizes the
-    maximum).  Every such subset of the child either lies in the parent
-    (covered by parent_radii) or contains the new last vertex, so only
-    the subsets through the new vertex need evaluating.
+
+def _helly_members(level, children, parents, keys, d, n):
+    """Rows of the children of ``level`` (above level d) that are simplices.
+
+    By Helly's theorem a set of more than d+1 points is a simplex iff
+    all its (d+1)-subsets are, and those of the parent (P, v) are.  So
+    the child (P, v, w) is one iff its sibling (P, w), which holds every
+    subset that misses v, is a row of ``level`` and each S + v + w, S a
+    (d-1)-subset of P, is a row of level d.  The rows of the faces S + v
+    in level d-1 are found once per parent by chained key lookups; a
+    missing face gets row -1, whose keys match nothing.
     """
-    m, size = simplices.shape
-    d = points.shape[1]
-    if size <= d + 1:
-        return min_enclosing_radii_batch(points[simplices])
-    combos = np.asarray(list(itertools.combinations(range(size - 1), d)), dtype=np.int64)
-    out = np.empty(m)
-    for lo in range(0, m, chunk):
-        batch = simplices[lo : lo + chunk]
-        b = len(batch)
-        new = np.broadcast_to(batch[:, -1, None, None], (b, len(combos), 1))
-        subsets = np.concatenate([batch[:, combos], new], axis=2).reshape(-1, d + 1)
-        # evaluate each subset once: fold columns into ranks, no overflow
-        key = subsets[:, 0]
-        for col in subsets[:, 1:].T:
-            key = np.unique(key, return_inverse=True)[1] * len(points) + col
-        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-        radii = min_enclosing_radii_batch(points[subsets[first]])[inverse]
-        out[lo : lo + chunk] = radii.reshape(b, len(combos)).max(axis=1)
-    return np.maximum(out, parent_radii)
+    w = children[:, -1]
+    sibling = keys[-1][parents] + w - level[parents, -1]
+    alive = np.flatnonzero(_row_of(keys[-1], sibling) >= 0)
+    first = np.r_[True, parents[1:] != parents[:-1]]
+    rows, owner = level[parents[first]], np.cumsum(first) - 1
+    size = rows.shape[1]
+    for face in itertools.combinations(range(size - 1), d - 1):
+        cols = (*face, size - 1)
+        row = rows[:, cols[0]]
+        for k, col in enumerate(cols[1:]):
+            row = _row_of(keys[k], row * n + rows[:, col])
+        alive = alive[_row_of(keys[d - 1], row[owner[alive]] * n + w[alive]) >= 0]
+    return alive
 
 
 def euler_characteristic(cx: CechComplex) -> int:

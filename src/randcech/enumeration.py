@@ -330,7 +330,8 @@ def _frame(points):
     """Local frame, origin, k-d tree and scale of the points; coincident ones raise."""
     local, origin, scale = local_frame(points)
     tree = cKDTree(local)
-    require_distinct(tree, scale)
+    pairs = tree.query_pairs(widen(0.0, scale), output_type="ndarray")
+    require_distinct(pairs, np.linalg.norm(local[pairs[:, 0]] - local[pairs[:, 1]], axis=1), scale)
     return local, origin, tree, scale
 
 
@@ -476,6 +477,8 @@ def count_index1(points: np.ndarray, eps: float) -> int:
     the whole check vectorizes: pairs at distance <= 2 eps whose
     midpoint has no cloud point strictly inside the diametral ball.
     """
+    if eps <= 0:
+        raise ValueError("eps must be > 0")
     points = np.asarray(points, dtype=float)
     if len(points) < 2:
         return 0
@@ -487,6 +490,7 @@ def count_index1(points: np.ndarray, eps: float) -> int:
     a = points[pairs[:, 0]]
     b = points[pairs[:, 1]]
     radii = 0.5 * np.linalg.norm(a - b, axis=1)
+    require_distinct(pairs, 2.0 * radii, scale)  # coincident pairs lie within 2 eps
     keep = at_most(radii, eps, scale)
     if not np.any(keep):
         return 0

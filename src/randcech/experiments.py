@@ -177,15 +177,6 @@ class TrialStats:
             [c for (nn, _, kk, c) in self.raw if nn == n and kk == k], dtype=float
         )
 
-    def normalizer(self, n: int, k: int) -> float:
-        """Scaling that makes the mean count converge: n^(k+1) r_n^(dk)
-        in the subcritical regime, n otherwise."""
-        cfg = self.config
-        if cfg.rule == "power" and cfg.beta > 1.0 / cfg.d:
-            r = cfg.radius(n)
-            return float(n ** (k + 1) * r ** (cfg.d * k))
-        return float(n)
-
 
 def aggregate_from_raw(rows) -> dict:
     """Per-(n, k) aggregates; recomputable offline from the raw CSV."""

@@ -90,11 +90,13 @@ def local_frame(points):
     return local, origin, 2.0 * float(np.abs(local).max())
 
 
-def require_distinct(tree, scale) -> None:
-    """Raise ``DegenerateConfiguration`` if two points coincide within TAU_GEOM * scale."""
-    pairs = tree.query_pairs(TAU_GEOM * scale, output_type="ndarray")
-    if len(pairs):
-        i, j = sorted(pairs[0].tolist())
+def require_distinct(pairs, lengths, scale) -> None:
+    """Raise ``DegenerateConfiguration`` if two points coincide within
+    TAU_GEOM * scale.  ``pairs`` must hold every pair that close, and
+    ``lengths`` their distances."""
+    close = pairs[at_most(lengths, 0.0, scale)]
+    if len(close):
+        i, j = sorted(close[0].tolist())
         raise DegenerateConfiguration(f"points {i} and {j} coincide (relative cutoff {TAU_GEOM:g})")
 
 

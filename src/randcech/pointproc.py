@@ -93,12 +93,6 @@ class PointCloud:
     def n(self) -> int:
         return len(self.points)
 
-    def bounding_box_diameter(self) -> float:
-        if self.n == 0:
-            return 0.0
-        span = self.points.max(axis=0) - self.points.min(axis=0)
-        return float(np.linalg.norm(span))
-
 
 def sample_iid(f: Density, n: int, rng: np.random.Generator) -> PointCloud:
     """n independent draws from f."""

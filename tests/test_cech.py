@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from randcech import cech
 from randcech.cech import (
     BudgetExceeded,
     ComplexTooLarge,
@@ -99,6 +100,76 @@ def test_downward_closure_audit():
         for simplex in cx.simplices[j]:
             for drop in range(j + 1):
                 assert tuple(np.delete(simplex, drop)) in lower
+
+
+def _cliques(adjacent, max_size):
+    """Every clique of at most max_size vertices, as sorted tuples."""
+    out = []
+
+    def grow(clique, candidates):
+        out.append(clique)
+        if len(clique) < max_size:
+            for i, v in enumerate(candidates):
+                grow(clique + (v,), [u for u in candidates[i + 1:] if u in adjacent[v]])
+
+    for v in range(len(adjacent)):
+        grow((v,), sorted(u for u in adjacent[v] if u > v))
+    return out
+
+
+@pytest.mark.parametrize("d, eps", [(2, 0.2), (3, 0.3)])
+def test_membership_above_level_d_is_exact(d, eps):
+    """Every clique of the 2 eps graph with up to 7 vertices is a simplex
+    iff its miniball radius is at most eps, also above level d, where
+    Helly's theorem decides membership."""
+    points = sample_iid(uniform_box(d), 35, substream(305, d)).points
+    cx = build_cech(points, eps)
+    assert max(cx.simplices) >= d + 2
+    dist = np.linalg.norm(points[:, None] - points[None], axis=2)
+    adjacent = [set(np.flatnonzero(row <= 2 * eps).tolist()) - {v} for v, row in enumerate(dist)]
+    built = {tuple(s) for j, a in cx.simplices.items() if j < 7 for s in a.tolist()}
+    cliques = _cliques(adjacent, 7)
+    assert built <= set(cliques)
+    for clique in cliques:
+        inside = min_enclosing_ball(points[list(clique)]).radius <= eps
+        assert (clique in built) == inside, clique
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_no_miniball_above_level_d(monkeypatch, d):
+    """One miniball batch per level 2..d, none on more than d+1 points."""
+    sizes = []
+    batch = cech.min_enclosing_radii_batch
+
+    def guarded(stacks):
+        assert stacks.shape[1] <= d + 1, f"miniball of {stacks.shape[1]} points in d = {d}"
+        sizes.append(stacks.shape[1])
+        return batch(stacks)
+
+    monkeypatch.setattr(cech, "min_enclosing_radii_batch", guarded)
+    points = 0.01 * sample_iid(uniform_box(d), d + 5, substream(305, 10 + d)).points
+    cx = build_cech(points, 0.1)
+    assert max(cx.simplices) == d + 4
+    assert list(cx.counts()) == [math.comb(d + 5, j + 1) for j in range(d + 5)]
+    assert sizes == list(range(3, d + 2))
+
+
+@pytest.mark.parametrize("labels", [range(6993, 7000), (100, 3000, 3900, 5000, 6000, 6500, 6999)])
+def test_level_keys_do_not_overflow(labels):
+    """7 000 points in d = 4, so base-n keys of 5 columns (n^5 > 2^63)
+    would wrap.  The 7 points of one tight cluster, with the given
+    labels, span a full 6-simplex; with the second labels the base-n key
+    of (3900, 5000, 6000, 6500, 6999) would wrap below all the others."""
+    labels = list(labels)
+    lattice = np.stack(np.meshgrid(*[np.arange(10.0)] * 4, indexing="ij"), axis=-1).reshape(-1, 4)
+    points = np.empty((7000, 4))
+    rest = np.setdiff1d(np.arange(7000), labels)
+    points[rest] = lattice[: len(rest)]
+    points[labels] = 20.0 + substream(305, 20).uniform(-0.005, 0.005, size=(7, 4))
+    assert len(points) ** 5 > 2**63
+    cx = build_cech(points, 0.1)
+    assert list(cx.counts()) == [7000, 21, 35, 35, 21, 7, 1]
+    assert cx.simplices[6].tolist() == [labels]
 
 
 def test_simplex_counts_monotone_in_eps():

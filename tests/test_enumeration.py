@@ -169,6 +169,20 @@ def test_coincident_points_raise_a_named_error():
     assert euler_characteristic(build_cech(pts, 0.6)) == 1
 
 
+def test_count_index1_refuses_coincident_points_and_nonpositive_eps():
+    """Three copies of one point plus another: no pair of copies is an
+    index-1 critical point, so the count raises as enumeration does."""
+    pts = np.array([(0.3, 0.3)] * 3 + [(0.9, 0.9)])
+    for eps in (0.1, 1.0):
+        with pytest.raises(DegenerateConfiguration, match="coincide"):
+            enumerate_grid(pts, eps)
+        with pytest.raises(DegenerateConfiguration, match="coincide"):
+            count_index1(pts, eps)
+    for eps in (0.0, -0.1):
+        with pytest.raises(ValueError, match="eps must be > 0"):
+            count_index1(pts[2:], eps)
+
+
 def test_collinear_four_points_global_counts():
     cps = enumerate_global(cloud_of([(0, 0), (1, 0), (2, 0), (3, 0)]))
     assert list(counts(cps, 4, GLOBAL, 2).by_index) == [4, 3, 0]
