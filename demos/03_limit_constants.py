@@ -8,7 +8,7 @@ and sigma2_k (iid input).  This demo evaluates the Monte Carlo
 estimators against every closed form available and prints the variance
 decomposition for k = 1 on the unit square.
 
-Run:  python3 demos/03_limit_constants.py   (about 20 s)
+Run:  python3 demos/03_limit_constants.py   (about 2 s)
 """
 
 import math

@@ -15,7 +15,7 @@ normalized Euler characteristic chi_n / n has three phases:
 This demo sweeps the three phases at moderate sizes and prints the
 measured chi_n / n next to the limit prediction.
 
-Run:  python3 demos/04_phase_portrait.py   (about 1 min)
+Run:  python3 demos/04_phase_portrait.py   (about 5 s)
 """
 
 from randcech.experiments import ExperimentConfig, euler_phase

@@ -1,19 +1,29 @@
 """Seeded Monte Carlo experiments for the critical-point limit theorems.
 
-Each experiment draws point clouds (i.i.d. or Poisson), counts critical
-points of the distance function below the scheduled radius r_n, and
-compares scaled empirical statistics against the limit constants from
-the theory module.  Every trial runs on its own RNG substream derived
-from (master seed, n index, trial index), so results are reproducible
-and order-independent; raw per-trial counts are persisted before any
-aggregation.
+One trial loop serves every experiment.  It validates the config once,
+then draws the cloud of every (n, trial) from its own RNG substream
+``substream(seed, n index, trial index)`` with the configured process
+(i.i.d. or Poisson), so results are reproducible and independent of
+order.  Three modes iterate it, each with work of its own:
+
+* ``counts`` (`run`): critical-point counts below the scheduled radius
+  r_n, raw per-trial rows persisted before aggregation;
+* ``global_vs_local``: global counts against the radius-restricted ones;
+* ``euler_phase``: the Morse-counted Euler characteristic along the
+  schedule, cross-audited against the built Čech complex.
+
+`report` runs the config's mode and returns ``{"config", "results"}``;
+the distributional diagnostics compare counts with the limit constants
+of the theory module.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+import os
+from dataclasses import dataclass, field, asdict, replace
+from numbers import Integral, Real
 
 import numpy as np
 from scipy import stats as sps
@@ -25,27 +35,25 @@ from .enumeration import (
     enumerate_grid,
 )
 from .cech import ComplexTooLarge, build_cech, euler_characteristic
+from .pointproc import Density, make_density, sample_iid, sample_poisson, substream
 
 # largest cloud for which the cross-audit builds the full complex;
 # beyond this the simplex count at critical radii is prohibitive
 AUDIT_N_CAP = 10_000
-from .pointproc import Density, make_density, sample_iid, sample_poisson, substream
-from .theory import RegimeSpec
-
-MODES = (
-    "mean_scaling",
-    "variance_scaling",
-    "poisson_limit",
-    "clt",
-    "global_vs_local",
-    "euler_phase",
-    "gamma_curve",
-    "morse_euler_audit",
-)
 
 
 class ConfigError(ValueError):
     """Config validation failure; message names the offending field."""
+
+
+def _ints(xs, lo, hi=math.inf) -> bool:
+    """xs is a nonempty list or tuple of integers (not bools) in [lo, hi]."""
+    return isinstance(xs, (tuple, list)) and len(xs) > 0 and all(
+        isinstance(x, Integral) and not isinstance(x, bool) and lo <= x <= hi for x in xs)
+
+
+def _positive(*xs) -> bool:
+    return all(isinstance(x, Real) and 0 < x < math.inf for x in xs)
 
 
 @dataclass
@@ -70,11 +78,6 @@ class ExperimentConfig:
     def make_density(self) -> Density:
         return make_density(self.density, self.d, **self.density_params)
 
-    def regime(self) -> RegimeSpec | None:
-        if self.rule == "power":
-            return RegimeSpec(self.c, self.beta, self.d)
-        return None
-
     def radius(self, n: int) -> float:
         if self.rule == "power":
             return self.c * n ** (-self.beta)
@@ -86,34 +89,42 @@ class ExperimentConfig:
         return self.beta < 1.0 / self.d
 
     def validate(self) -> None:
-        if self.mode not in MODES:
-            raise ConfigError(f"mode: {self.mode!r} not in {MODES}")
-        if self.d < 1:
-            raise ConfigError(f"d: must be >= 1, got {self.d}")
+        if self.mode not in tuple(MODES):
+            raise ConfigError(f"mode: {self.mode!r} not in {tuple(MODES)}")
+        if not _ints((self.d,), 1):
+            raise ConfigError(f"d: must be an integer >= 1, got {self.d!r}")
         if self.process not in ("iid", "poisson"):
             raise ConfigError(f"process: {self.process!r} not in ('iid', 'poisson')")
         if self.rule not in ("power", "log"):
             raise ConfigError(f"rule: {self.rule!r} not in ('power', 'log')")
-        if self.rule == "power" and (self.c <= 0 or self.beta <= 0):
+        if self.rule == "power" and not _positive(self.c, self.beta):
             raise ConfigError(f"rule.c/rule.beta: need c > 0 and beta > 0")
-        if self.rule == "log" and (self.d_star is None or self.d_star <= 0):
+        if self.rule == "log" and not _positive(self.d_star):
             raise ConfigError("d_star: the log radius rule needs d_star > 0")
-        if not self.n_schedule or any(int(n) <= 0 for n in self.n_schedule):
-            raise ConfigError(f"n_schedule: need positive sizes, got {self.n_schedule}")
-        if self.trials <= 0:
-            raise ConfigError(f"trials: must be > 0, got {self.trials}")
-        if not self.k_targets or any(not 0 <= k <= self.d for k in self.k_targets):
+        if not _ints(self.n_schedule, 1) or len(set(self.n_schedule)) < len(self.n_schedule):
             raise ConfigError(
-                f"k_targets: indices must lie in [0, d={self.d}], got {self.k_targets}"
+                f"n_schedule: need distinct positive integer sizes, got {self.n_schedule!r}"
             )
-        if self.is_supercritical():
+        if not _ints((self.trials,), 1):
+            raise ConfigError(f"trials: must be an integer > 0, got {self.trials!r}")
+        if not _ints((self.seed,), 0, 2**64 - 1):
+            raise ConfigError(f"seed: must be an integer in [0, 2^64), got {self.seed!r}")
+        if not _ints(self.k_targets, 0, self.d):
+            raise ConfigError(
+                f"k_targets: indices must be integers in [0, d={self.d}], got {self.k_targets!r}"
+            )
+        try:
             f = self.make_density()
-            if not (f.lower_bounded and f.support_convex):
-                if not self.annulus_counterexample:
-                    raise ConfigError(
-                        "density: supercritical runs need a lower-bounded density "
-                        "with convex support; set annulus_counterexample to waive"
-                    )
+        except KeyError as exc:
+            raise ConfigError(f"density: {exc.args[0]}") from None
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"density_params: {exc}") from None
+        if (self.is_supercritical() and not (f.lower_bounded and f.support_convex)
+                and not self.annulus_counterexample):
+            raise ConfigError(
+                "density: supercritical runs need a lower-bounded density "
+                "with convex support; set annulus_counterexample to waive"
+            )
 
     # -- (de)serialization ---------------------------------------------------
 
@@ -125,14 +136,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
+        if not isinstance(data, dict) or "mode" not in data:
+            raise ConfigError("mode: a config is a JSON object that names its mode")
+        unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        cfg = cls(**data)
-        cfg.k_targets = tuple(cfg.k_targets)
-        cfg.n_schedule = tuple(cfg.n_schedule)
-        return cfg
+        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in data.items()})
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -141,13 +150,19 @@ class ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# trial execution
+# the trial loop
 
 
-def _sample_cloud(f: Density, n: int, process: str, rng):
-    if process == "poisson":
-        return sample_poisson(f, n, rng)
-    return sample_iid(f, n, rng)
+def _trials(config: ExperimentConfig):
+    """Validate the config, then yield (i, n, eps, t, points) for trial t
+    at the i-th scheduled size n, its cloud drawn from substream(seed, i, t)."""
+    config.validate()
+    f = config.make_density()
+    sample = sample_poisson if config.process == "poisson" else sample_iid
+    for i, n in enumerate(config.n_schedule):
+        eps = config.radius(n)
+        for t in range(config.trials):
+            yield i, n, eps, t, sample(f, n, substream(config.seed, i, t)).points
 
 
 def _trial_counts(points: np.ndarray, eps: float, d: int, k_targets) -> dict:
@@ -221,40 +236,26 @@ def load_raw_csv(path) -> list:
     return rows
 
 
+def _keyed(aggregates: dict) -> dict:
+    return {f"n={n}|k={k}": v for (n, k), v in aggregates.items()}
+
+
 def run(config: ExperimentConfig, out_dir=None) -> TrialStats:
     """Execute a counting experiment: per-trial critical-point counts at
     the scheduled radii, raw rows persisted before aggregation."""
-    config.validate()
-    f = config.make_density()
     rows = []
-    for i, n in enumerate(config.n_schedule):
-        eps = config.radius(n)
-        for t in range(config.trials):
-            rng = substream(config.seed, i, t)
-            cloud = _sample_cloud(f, n, config.process, rng)
-            cnts = _trial_counts(cloud.points, eps, config.d, config.k_targets)
-            for k in sorted(cnts):
-                rows.append((n, t, k, cnts[k]))
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
+    for _, n, eps, t, points in _trials(config):
+        cnts = _trial_counts(points, eps, config.d, config.k_targets)
+        rows.extend((n, t, k, c) for k, c in cnts.items())
+    rows.sort(key=lambda r: r[:3])
     if out_dir is not None:
-        import os
-
         os.makedirs(out_dir, exist_ok=True)
         save_raw_csv(rows, os.path.join(out_dir, "raw_counts.csv"))
     stats = TrialStats(config, rows, aggregate_from_raw(rows))
     if out_dir is not None:
         with open(os.path.join(out_dir, "aggregates.json"), "w") as fh:
-            json.dump(
-                {
-                    "config": config.to_dict(),
-                    "aggregates": {
-                        f"n={n}|k={k}": v for (n, k), v in stats.aggregates.items()
-                    },
-                },
-                fh,
-                indent=2,
-                sort_keys=True,
-            )
+            json.dump({"config": config.to_dict(), "aggregates": _keyed(stats.aggregates)},
+                      fh, indent=2, sort_keys=True)
     return stats
 
 
@@ -296,44 +297,31 @@ def normality_diagnostics(samples) -> dict:
 # global vs radius-restricted counts
 
 
-def global_vs_local(config: ExperimentConfig, k_max: int | None = None) -> dict:
+def global_vs_local(config: ExperimentConfig) -> dict:
     """Paired global/restricted enumeration per trial.
 
-    Returns per-n mean |N_k_global - N_k(r_n)| for each target k; with
-    the annulus flag also the signed mean of the index-d gap (the
-    missing maximum near the hole).
+    Returns per-n mean N_k_global - N_k(r_n) (never negative) for each
+    target k; with the annulus flag also the mean of the index-d gap
+    (the missing maximum near the hole).
     """
-    config.validate()
-    f = config.make_density()
-    k_max = max(config.k_targets) if k_max is None else k_max
-    out = {"gap": {}, "signed_top_gap": {}}
-    for i, n in enumerate(config.n_schedule):
-        eps = config.radius(n)
-        gaps = {k: [] for k in config.k_targets if k >= 1}
-        signed = []
-        for t in range(config.trials):
-            rng = substream(config.seed, i, t)
-            cloud = _sample_cloud(f, n, config.process, rng)
-            vals = critical_values_by_index(cloud.points, k_max=k_max)
-            for k in gaps:
-                n_g = len(vals[k])
-                n_loc = int(np.sum(vals[k] <= eps))
-                gaps[k].append(n_g - n_loc)
-            if config.annulus_counterexample:
-                top = vals[config.d]
-                signed.append(len(top) - int(np.sum(top <= eps)))
-        out["gap"][n] = {k: float(np.mean(np.abs(v))) for k, v in gaps.items()}
-        if signed:
-            out["signed_top_gap"][n] = float(np.mean(signed))
-    return out
+    ks = [k for k in config.k_targets if k >= 1]
+    gaps, top = {}, {}
+    for _, n, eps, _, points in _trials(config):
+        vals = critical_values_by_index(points, k_max=max(
+            *config.k_targets, config.d if config.annulus_counterexample else 0))
+        gaps.setdefault(n, []).append([int(np.sum(vals[k] > eps)) for k in ks])
+        if config.annulus_counterexample:
+            top.setdefault(n, []).append(int(np.sum(vals[config.d] > eps)))
+    return {
+        "gap": {n: dict(zip(ks, np.mean(g, axis=0).tolist())) for n, g in gaps.items()},
+        "signed_top_gap": {n: float(np.mean(g)) for n, g in top.items()},
+    }
 
 
 def calibrate_d_star(base: ExperimentConfig, candidates=(1.0, 2.0, 4.0, 8.0),
                      trials: int = 20, gap_tol: float = 0.05) -> float:
     """Smallest D* among the candidates for which the mean global/local
     gap at the largest scheduled n falls below gap_tol."""
-    from dataclasses import replace
-
     n_top = max(base.n_schedule)
     for d_star in candidates:
         cfg = replace(
@@ -354,35 +342,52 @@ def euler_phase(config: ExperimentConfig, audit_trials: int = 3) -> dict:
     """Mean Euler characteristic along the n schedule.
 
     chi_n is the alternating sum of critical-point counts at r_n (Morse
-    counting); the first few trials at the smallest n are cross-audited
-    against the simplex-count alternating sum of the built complex.
+    counting).  The first few trials at the smallest n (if n <=
+    AUDIT_N_CAP and the regime is not supercritical) are cross-audited
+    against the simplex-count alternating sum of the built complex;
+    ``audit_skipped`` counts those whose complex was too large to build.
     """
-    config.validate()
-    f = config.make_density()
-    out = {"chi_over_n": {}, "chi_mean": {}, "audited": 0}
-    for i, n in enumerate(config.n_schedule):
-        eps = config.radius(n)
-        chis = []
-        for t in range(config.trials):
-            rng = substream(config.seed, i, t)
-            cloud = _sample_cloud(f, n, config.process, rng)
-            cps = enumerate_grid(cloud.points, eps)
-            cc = tally_counts(cps, cloud.n, eps, config.d)
-            chi = cc.alternating_sum()
-            if (i == 0 and t < audit_trials and n <= AUDIT_N_CAP
-                    and not config.is_supercritical()):
-                try:
-                    cx = build_cech(cloud.points, eps)
-                except ComplexTooLarge:
-                    pass  # audit is best-effort; chi itself is Morse-counted
-                else:
-                    if euler_characteristic(cx) != chi:
-                        raise AssertionError(
-                            f"Morse/complex Euler mismatch at n={n}, trial {t}"
-                        )
-                    out["audited"] += 1
-            chis.append(chi)
-        chis = np.asarray(chis, dtype=float)
-        out["chi_over_n"][n] = float(chis.mean() / n)
-        out["chi_mean"][n] = float(chis.mean())
+    chis = {}
+    audited = skipped = 0
+    for i, n, eps, t, points in _trials(config):
+        chi = tally_counts(enumerate_grid(points, eps), len(points), eps,
+                           config.d).alternating_sum()
+        chis.setdefault(n, []).append(chi)
+        if (i > 0 or t >= audit_trials or n > AUDIT_N_CAP
+                or config.is_supercritical()):
+            continue
+        try:
+            cx = build_cech(points, eps)
+        except ComplexTooLarge:
+            skipped += 1  # chi itself is Morse-counted
+            continue
+        if euler_characteristic(cx) != chi:
+            raise AssertionError(f"Morse/complex Euler mismatch at n={n}, trial {t}")
+        audited += 1
+    means = {n: float(np.asarray(c, dtype=float).mean()) for n, c in chis.items()}
+    return {"chi_over_n": {n: m / n for n, m in means.items()}, "chi_mean": means,
+            "audited": audited, "audit_skipped": skipped}
+
+
+# ---------------------------------------------------------------------------
+# one entry point
+
+
+MODES = {
+    "counts": lambda config, out_dir: _keyed(run(config, out_dir).aggregates),
+    "global_vs_local": lambda config, out_dir: global_vs_local(config),
+    "euler_phase": lambda config, out_dir: euler_phase(config),
+}
+
+
+def report(config: ExperimentConfig, out_dir=None) -> dict:
+    """Run the config's mode and return {"config", "results"}; with
+    out_dir, also write it to report.json (`run` adds its raw rows and
+    aggregates there)."""
+    config.validate()  # an unknown mode is a ConfigError, not a KeyError
+    out = {"config": config.to_dict(), "results": MODES[config.mode](config, out_dir)}
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
+        with open(os.path.join(out_dir, "report.json"), "w") as fh:
+            json.dump(out, fh, indent=2, sort_keys=True)
     return out

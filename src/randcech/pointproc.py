@@ -28,7 +28,11 @@ def substream(master_seed: int, *indices: int) -> np.random.Generator:
 
     The index tuple is folded into the second 64-bit Philox key word
     with a splitmix-style mixer, so distinct tuples give distinct keys.
+    The seed and every index must be integers in [0, 2^64).
     """
+    if not all(0 <= v < 2**64 for v in (master_seed, *indices)):
+        raise ValueError(f"substream: seed {master_seed} and indices {indices} "
+                         "must lie in [0, 2^64)")
     mix = np.uint64(0x9E3779B97F4A7C15)
     acc = np.uint64(0)
     with np.errstate(over="ignore"):
@@ -112,6 +116,8 @@ def sample_poisson(f: Density, n: float, rng: np.random.Generator) -> PointCloud
 # -- builtin densities -------------------------------------------------------
 
 def uniform_box(d: int, side: float = 1.0) -> Density:
+    if not side > 0:
+        raise ValueError(f"side must be > 0, got {side}")
     vol = side**d
     f = 1.0 / vol
 
@@ -145,6 +151,8 @@ def _sample_shell(rng, m, d, r_in, r_out):
 
 
 def uniform_ball(d: int, radius: float = 1.0) -> Density:
+    if not radius > 0:
+        raise ValueError(f"radius must be > 0, got {radius}")
     vol = unit_ball_volume(d) * radius**d
     f = 1.0 / vol
 
@@ -195,6 +203,8 @@ def uniform_annulus(d: int, r_in: float, r_out: float) -> Density:
 
 
 def isotropic_gaussian(d: int, sigma: float = 1.0) -> Density:
+    if not sigma > 0:
+        raise ValueError(f"sigma must be > 0, got {sigma}")
     norm = (2.0 * np.pi * sigma**2) ** (-0.5 * d)
 
     def pdf(x):

@@ -123,7 +123,7 @@ def test_constants_bad_sample_count_is_config_error():
 
 def test_experiment_subcommand(tmp_path, capsys):
     cfg = {
-        "mode": "mean_scaling", "d": 2, "c": 1.0, "beta": 0.75,
+        "mode": "counts", "d": 2, "c": 1.0, "beta": 0.75,
         "k_targets": [1], "n_schedule": [50], "trials": 3, "seed": 2,
     }
     path = tmp_path / "config.json"
@@ -132,13 +132,36 @@ def test_experiment_subcommand(tmp_path, capsys):
     code = main(["experiment", "--config", str(path), "--out-dir", str(out_dir)])
     assert code == 0
     assert (out_dir / "raw_counts.csv").exists()
-    assert (out_dir / "report.json").exists()
+    printed = json.loads(capsys.readouterr().out)
+    assert set(printed) == {"config", "results"}
+    assert json.loads((out_dir / "report.json").read_text()) == printed
 
 
 def test_experiment_bad_config_exit_code(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"mode": "bogus"}))
     assert main(["experiment", "--config", str(path)]) == 2
+
+
+@pytest.mark.parametrize("field, value", [
+    ("mode", "mean_scaling"), ("mode", "morse_euler_audit"), ("trials", 2.5),
+    ("d", "2"), ("seed", -1), ("density_params", {"sidee": 2}),
+])
+def test_experiment_malformed_config_is_config_error(field, value, tmp_path, capsys):
+    cfg = {"mode": "counts", "n_schedule": [50], "trials": 2, field: value}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["experiment", "--config", str(path)]) == 2
+    assert f"config error: {field}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--density", "uniform_box", "--n", "10", "--eps", "0.1", "--seed", "-1"],
+    ["constants", "--lambda", "1.0", "--samples", "100", "--seed", "-2"],
+])
+def test_negative_seed_is_config_error(argv, capsys):
+    assert main(argv) == 2
+    assert "config error: substream: seed" in capsys.readouterr().err
 
 
 def test_experiment_malformed_json(tmp_path):
@@ -152,4 +175,11 @@ def test_audit_subcommand(capsys):
                  "--seed", "0"])
     assert code == 0
     text = capsys.readouterr().out
-    assert "0 mismatches" in text
+    assert "audited 18 (cloud, radius) cases: 0 mismatches; skipped 0" in text
+
+
+def test_audit_counts_skipped_cases(capsys):
+    # up to 80 points in the unit square outgrow the cap at the larger radii
+    assert main(["audit", "--clouds", "4", "--n", "80", "--seed", "0"]) == 0
+    assert ("audited 29 (cloud, radius) cases: 0 mismatches; skipped 11 with "
+            "more than 500000 simplices") in capsys.readouterr().out

@@ -3,6 +3,8 @@ diagnostics, global/local gaps, Euler phase plumbing."""
 
 import json
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,15 +20,18 @@ from randcech.experiments import (
     global_vs_local,
     load_raw_csv,
     normality_diagnostics,
+    report,
     run,
     save_raw_csv,
 )
+from randcech import experiments
+from randcech.cech import ComplexTooLarge
 from randcech.pointproc import substream
 
 
 def small_config(**overrides):
     base = dict(
-        mode="mean_scaling",
+        mode="counts",
         d=2,
         c=1.0,
         beta=0.75,
@@ -52,14 +57,26 @@ def test_config_valid():
         (dict(process="quantum"), "process"),
         (dict(rule="exp"), "rule"),
         (dict(c=-1.0), "rule.c"),
+        (dict(c=math.inf), "rule.c"),
         (dict(rule="log", d_star=None), "d_star"),
         (dict(n_schedule=()), "n_schedule"),
         (dict(trials=0), "trials"),
         (dict(k_targets=(5,)), "k_targets"),
-    ],
+        (dict(trials=2.5), "trials"),
+        (dict(n_schedule=(50.5,)), "n_schedule"),
+        (dict(n_schedule=(50, 50)), "n_schedule"),
+        (dict(k_targets=(1.5,)), "k_targets"),
+        (dict(d="2"), "d"),
+        (dict(seed=-1), "seed"),
+        (dict(density_params={"sidee": 2}), "density_params"),
+        (dict(beta=0.25, density_params={"side": 0}), "density_params"),
+        (dict(density="nonsense"), "density"),
+    ] + [(dict(mode=old), "mode") for old in (
+        "mean_scaling", "variance_scaling", "poisson_limit", "clt",
+        "gamma_curve", "morse_euler_audit")],
 )
 def test_config_errors_name_the_field(overrides, field):
-    with pytest.raises(ConfigError, match=field):
+    with pytest.raises(ConfigError, match=rf"^{re.escape(field)}\b"):
         small_config(**overrides).validate()
 
 
@@ -82,9 +99,15 @@ def test_config_roundtrip_json(tmp_path):
 
 def test_config_rejects_unknown_fields(tmp_path):
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({"mode": "clt", "frobnicate": 1}))
+    path.write_text(json.dumps({"mode": "counts", "frobnicate": 1}))
     with pytest.raises(ConfigError, match="frobnicate"):
         ExperimentConfig.from_json(path)
+
+
+@pytest.mark.parametrize("data", [[1, 2], {"d": 2}])
+def test_config_without_mode_is_a_config_error(data):
+    with pytest.raises(ConfigError, match="mode"):
+        ExperimentConfig.from_dict(data)
 
 
 def test_log_rule_radius():
@@ -219,6 +242,16 @@ def test_global_vs_local_gap_shrinks_with_log_rule():
     assert gap_big <= gap_small
 
 
+def test_global_vs_local_annulus_gap_needs_no_index_d_target():
+    cfg = small_config(
+        mode="global_vs_local", density="uniform_annulus",
+        density_params={"r_in": 1.0, "r_out": 2.0}, k_targets=(1,),
+        n_schedule=(60,), trials=2, annulus_counterexample=True,
+    )
+    full = global_vs_local(replace(cfg, k_targets=(1, 2)))
+    assert global_vs_local(cfg)["signed_top_gap"] == full["signed_top_gap"]
+
+
 def test_calibrate_d_star_returns_candidate():
     cfg = small_config(mode="global_vs_local", k_targets=(1,),
                        n_schedule=(400,), trials=10)
@@ -231,8 +264,18 @@ def test_calibrate_d_star_returns_candidate():
 def test_euler_phase_subcritical_chi_over_n_near_one():
     cfg = small_config(mode="euler_phase", beta=0.9, n_schedule=(300,), trials=8)
     res = euler_phase(cfg)
-    assert res["audited"] >= 1
+    assert res["audited"] == 3 and res["audit_skipped"] == 0
     assert res["chi_over_n"][300] == pytest.approx(1.0, abs=0.1)
+
+
+def test_euler_phase_counts_skipped_audits(monkeypatch):
+    def too_large(points, eps):
+        raise ComplexTooLarge("complex exceeds the cap")
+
+    monkeypatch.setattr(experiments, "build_cech", too_large)
+    cfg = small_config(mode="euler_phase", beta=0.9, n_schedule=(100, 200), trials=4)
+    res = euler_phase(cfg)
+    assert res["audited"] == 0 and res["audit_skipped"] == 3
 
 
 def test_euler_phase_dust_radius_chi_equals_n():
@@ -240,3 +283,16 @@ def test_euler_phase_dust_radius_chi_equals_n():
                        n_schedule=(200,), trials=3)
     res = euler_phase(cfg)
     assert res["chi_over_n"][200] == 1.0
+
+
+# ------------------------------------------------------------------ report
+
+@pytest.mark.parametrize("mode", ["counts", "global_vs_local", "euler_phase"])
+def test_report_serves_every_mode(mode, tmp_path):
+    cfg = small_config(mode=mode, n_schedule=(40,), trials=2)
+    out = report(cfg, out_dir=tmp_path)
+    assert set(out) == {"config", "results"} and out["config"] == cfg.to_dict()
+    assert json.loads((tmp_path / "report.json").read_text()) == json.loads(json.dumps(out))
+    assert (tmp_path / "raw_counts.csv").exists() == (mode == "counts")
+    if mode == "counts":
+        assert out["results"] == {f"n={n}|k={k}": v for (n, k), v in run(cfg).aggregates.items()}

@@ -41,6 +41,13 @@ def test_substream_distinct_indices_distinct_streams():
     assert not np.array_equal(a, c)
 
 
+@pytest.mark.parametrize("seed, indices", [(-1, ()), (-2, (0,)), (3, (0, -1)),
+                                           (2**64, ()), (0, (2**64,))])
+def test_substream_refuses_out_of_range_seed_or_index(seed, indices):
+    with pytest.raises(ValueError, match=r"substream: seed .* must lie in \[0, 2\^64\)"):
+        substream(seed, *indices)
+
+
 # ------------------------------------------------------------------ densities
 
 def test_uniform_box_metadata():
@@ -71,6 +78,15 @@ def test_gaussian_not_lower_bounded():
     assert not f.lower_bounded
     assert f.support_volume is None
     assert f.f_max == pytest.approx(1.0 / (2.0 * math.pi))
+
+
+@pytest.mark.parametrize("factory, param", [
+    (uniform_box, "side"), (uniform_ball, "radius"), (isotropic_gaussian, "sigma"),
+])
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+def test_density_refuses_nonpositive_size(factory, param, value):
+    with pytest.raises(ValueError, match=f"{param} must be > 0"):
+        factory(2, **{param: value})
 
 
 def test_builtin_densities_catalog():
