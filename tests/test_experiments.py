@@ -57,11 +57,11 @@ def test_config_valid():
         (dict(process="quantum"), "process"),
         (dict(rule="exp"), "rule"),
         (dict(c=-1.0), "rule.c"),
-        (dict(c=math.inf), "rule.c"),
         (dict(rule="log", d_star=None), "d_star"),
         (dict(n_schedule=()), "n_schedule"),
         (dict(trials=0), "trials"),
         (dict(k_targets=(5,)), "k_targets"),
+        (dict(c=math.inf), "rule.c"),
         (dict(trials=2.5), "trials"),
         (dict(n_schedule=(50.5,)), "n_schedule"),
         (dict(n_schedule=(50, 50)), "n_schedule"),
