@@ -124,6 +124,8 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_audit(args) -> int:
     """Morse/complex Euler-characteristic consistency sweep."""
+    if args.n < 5:
+        raise ValueError(f"--n must be >= 5, got {args.n}")
     rng_master = args.seed
     cap = 500_000
     failures = total = skipped = 0

@@ -21,6 +21,15 @@ Two enumeration paths produce identical counts and values:
 CP2 is verified against the full cloud on both sources, so the choice
 only affects speed, never the counts.
 
+At finite eps a cloud of n >= 2 ``TILE_POINTS`` points is triangulated
+in tiles (``_slabs``): slabs of equal point counts along the widest
+axis, each padded by 2 eps on both sides.  The tiles run on a thread
+pool, at most one thread per CPU in the affinity mask.  Each tile keeps
+its faces with a vertex in its core and evaluates them against the whole
+cloud.  The survivors of all tiles are pooled and deduplicated, which
+gives exactly the result of one triangulation, also where tiles cut
+cospherical sets differently.  The tile count depends only on the input.
+
 Candidates stay arrays through the tie rule, and every path returns one
 ``CriticalPoints`` result: index, generators (padded with -1), centers
 and values of the critical points of index >= 1, in (index, value,
@@ -34,13 +43,15 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import Delaunay, cKDTree
 
 from .geometry import (affine_rank, at_least, at_most, circumspheres_batch, hull_membership,
-                       in_relative_interior, local_frame, require_distinct, same_sphere, widen)
+                       in_relative_interior, local_frame, require_distinct, sphere_groups, widen)
 from .pointproc import PointCloud
 
 log = logging.getLogger(__name__)
@@ -51,6 +62,7 @@ BRUTE_CAP_RESTRICTED = 300
 BRUTE_CAP_GLOBAL = 25
 GLOBAL_CAP = 200_000
 CLIQUE_CHUNK = 1 << 18  # candidate rows built at a time by expand_cliques
+TILE_POINTS = 6_000  # points per core of a Delaunay tile
 
 
 class OracleCapExceeded(ValueError):
@@ -127,8 +139,12 @@ class CriticalCounts:
 
 def close_pairs(tree: cKDTree, r: float) -> np.ndarray:
     """Index pairs (i, j), i < j, at distance <= r, in lexicographic order."""
-    n = tree.n
-    pairs = tree.query_pairs(r, output_type="ndarray").astype(np.int64)
+    return _lexicographic(tree.query_pairs(r, output_type="ndarray"), tree.n)
+
+
+def _lexicographic(pairs: np.ndarray, n: int) -> np.ndarray:
+    """The index pairs of n points as rows (i, j), i < j, in lexicographic order."""
+    pairs = pairs.astype(np.int64)
     keys = np.sort(pairs.min(axis=1) * n + pairs.max(axis=1))
     return np.stack(np.divmod(keys, n), axis=1)
 
@@ -222,13 +238,14 @@ def delaunay_subsets(points: np.ndarray, k_max: int) -> dict:
 # candidate evaluation
 
 
-def _evaluate_batch(frame, subsets, eps):
+def _evaluate_batch(frame, subsets, eps, workers=-1):
     """Apply CP1-CP3 to an (m, k+1) array of candidate subsets.
 
     Returns the passing candidates (CP2, CP3 and at least the relaxed
     hull test) as arrays ``(subsets, centers, radii, strict)``;
     ``strict`` marks genuine CP1 passes, relaxed-only passes are
-    retained for the cospherical tie rule.
+    retained for the cospherical tie rule.  ``workers`` threads run the
+    CP2 query (-1: one per CPU).
     """
     points, _, tree, scale = frame
     subsets = np.asarray(subsets, dtype=np.int64)
@@ -241,7 +258,7 @@ def _evaluate_batch(frame, subsets, eps):
     if len(idx):
         # CP2: the nearest cloud point to the center must be no closer
         # than R (the generators themselves lie at distance exactly R).
-        dmin, _ = tree.query(centers[idx], k=1, workers=-1)
+        dmin, _ = tree.query(centers[idx], k=1, workers=workers)
         idx = idx[at_least(dmin, radii[idx], scale)]
     return subsets[idx], centers[idx], radii[idx], strict[idx]
 
@@ -258,7 +275,7 @@ def _resolve_ties(points: np.ndarray, frame, batches: list) -> CriticalPoints:
     hypotenuse midpoint of a right triangle, where an edge and a
     triangle enter together); its index is the affine dimension of that
     union.  Candidates are sorted by value once; only runs of near-equal
-    values are grouped, in Python.
+    values are grouped, by ``sphere_groups``.
     """
     batches = [b for b in batches if len(b[0])]
     if not batches:
@@ -285,16 +302,8 @@ def _resolve_ties(points: np.ndarray, frame, batches: list) -> CriticalPoints:
     merged = []  # (index, generators, representative row) per tie group
     run_id = np.cumsum(np.concatenate([[True], ~near]))[tied]
     for run in np.split(order[tied], np.nonzero(np.diff(run_id))[0] + 1):
-        groups: list = []
-        for i in run.tolist():
-            for group in groups:
-                j = group[0]
-                if same_sphere(centers[i], values[i], centers[j], values[j]):
-                    group.append(i)
-                    break
-            else:
-                groups.append([i])
-        for group in groups:
+        for group in sphere_groups(centers[run], values[run]):
+            group = run[group].tolist()
             strict_members = [i for i in group if strict[i]]
             if not strict_members:
                 continue
@@ -382,7 +391,8 @@ def enumerate_grid(cloud, eps, k_max=None):
 
     Candidates are Delaunay faces when 2 <= d <= 3 and the 2 eps graph
     has more than 2^d n edges (n(n-1)/2 when global), else its cliques;
-    the choice is logged at DEBUG.
+    the choice is logged at DEBUG.  Large clouds are triangulated in
+    tiles on a thread pool (``_slabs``), with the same result.
     """
     points = _as_points(cloud)
     if len(points) == 0:
@@ -393,23 +403,97 @@ def enumerate_grid(cloud, eps, k_max=None):
         raise ValueError("eps must be > 0")
     n, d = points.shape
     k_max = d if k_max is None else min(k_max, d)
-    frame = local, _, tree, scale = _frame(points)
+    frame = _, _, tree, scale = _frame(points)
     if eps is None:
         pairs, edges = None, n * (n - 1) // 2
     else:
-        pairs = close_pairs(tree, 2.0 * widen(eps, scale))
+        pairs = tree.query_pairs(2.0 * widen(eps, scale), output_type="ndarray")
         edges = len(pairs)
     strategy = _pick_strategy(n, d, edges)
     log.debug("%s candidates: n = %d, %d edges in the 2 eps graph", strategy, n, edges)
     if strategy == "delaunay":
-        subsets = list(delaunay_subsets(local, k_max).values())
+        del pairs  # only their count was needed
+        return _resolve_ties(points, frame, _delaunay_batches(frame, eps, k_max))
+    if pairs is None:
+        pairs = np.column_stack(np.triu_indices(n, 1)).astype(np.int64)
     else:
-        if pairs is None:
-            pairs = np.column_stack(np.triu_indices(n, 1)).astype(np.int64)
-        subsets = [pairs]
-        while len(subsets) < k_max and len(subsets[-1]):
-            subsets.append(expand_cliques(subsets[-1], pairs, n)[0])
+        pairs = _lexicographic(pairs, n)
+    subsets = [pairs]
+    while len(subsets) < k_max and len(subsets[-1]):
+        subsets.append(expand_cliques(subsets[-1], pairs, n)[0])
     return _resolve_ties(points, frame, [_evaluate_batch(frame, arr, eps) for arr in subsets])
+
+
+def _delaunay_batches(frame, eps, k_max) -> list:
+    """Evaluated Delaunay-face candidates, one batch per size, each in
+    lexicographic order.
+
+    With more than one ``_slabs`` tile, each tile's faces with a vertex in
+    its core are evaluated against the whole cloud on a thread pool (one
+    thread per CPU of the affinity mask at most), and the survivors of
+    all tiles are pooled and deduplicated.
+    """
+    tiles = _slabs(frame[0], eps, frame[3])
+    if len(tiles) == 1:
+        return [_evaluate_batch(frame, arr, eps) for arr in delaunay_subsets(frame[0], k_max).values()]
+    workers = min(len(tiles), len(os.sched_getaffinity(0)))
+    with ThreadPoolExecutor(workers) as pool:
+        parts = list(pool.map(lambda tile: _tile_batches(frame, *tile, eps, k_max), tiles))
+    merged = []
+    for batches in zip(*parts):
+        subsets, centers, radii, strict = (np.concatenate(col) for col in zip(*batches))
+        order = np.lexsort(subsets.T[::-1])
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = np.any(np.diff(subsets[order], axis=0) != 0, axis=1)
+        keep = order[first]
+        merged.append((subsets[keep], centers[keep], radii[keep], strict[keep]))
+    return merged
+
+
+def _slabs(local, eps, scale) -> list:
+    """Tiles of a cloud as (members, core) pairs: sorted point indices and
+    the mask of those in the tile's core.
+
+    At finite eps a cloud of n >= 2 TILE_POINTS points is cut at equal
+    point counts along its widest axis into n // TILE_POINTS cores, and
+    each core is padded by 2 eps (widened) on both sides.  A critical
+    point of value <= eps has its generators within 2 eps of each other
+    and an empty ball in the whole cloud, so it is a Delaunay face of
+    every tile that holds one of them in its core.  One tile (the whole
+    cloud) otherwise, and where the padding would more than double the
+    points triangulated.
+    """
+    n = len(local)
+    whole = [(np.arange(n), np.ones(n, dtype=bool))]
+    count = 0 if eps is None else n // TILE_POINTS
+    if count < 2:
+        return whole
+    axis = int(np.argmax(np.ptp(local, axis=0)))
+    order = np.argsort(local[:, axis], kind="stable")
+    x = local[order, axis]
+    cuts = np.arange(count + 1) * n // count
+    pad = 2.0 * widen(eps, scale)
+    lo = np.searchsorted(x, x[cuts[:-1]] - pad, side="left")
+    hi = np.searchsorted(x, x[cuts[1:] - 1] + pad, side="right")
+    if np.sum(hi - lo) > 2 * n:
+        return whole
+    tiles = []
+    for a, b, first, last in zip(lo, hi, cuts[:-1], cuts[1:]):
+        members = order[a:b]
+        by_label = np.argsort(members)
+        core = (np.arange(a, b) >= first) & (np.arange(a, b) < last)
+        tiles.append((members[by_label], core[by_label]))
+    return tiles
+
+
+def _tile_batches(frame, members, core, eps, k_max) -> list:
+    """Evaluated candidates of one tile: its Delaunay faces with a vertex
+    in its core, in the cloud's labels, one batch per size."""
+    out = []
+    for faces in delaunay_subsets(frame[0][members], k_max).values():
+        faces = faces[np.any(core[faces], axis=1)]
+        out.append(_evaluate_batch(frame, members[faces], eps, workers=1))
+    return out
 
 
 def _pick_strategy(n: int, d: int, edges: int) -> str:

@@ -21,6 +21,7 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 from scipy.special import betainc, gammaln
 
 TAU_GEOM = 1e-9  # relative slack of every comparison, rank cutoff and hull test
@@ -75,6 +76,31 @@ def same_sphere(c1, r1, c2, r2) -> bool:
     """Radii and centers agree within TAU_GEOM times the larger radius."""
     tol = TAU_GEOM * max(r1, r2)
     return abs(r1 - r2) <= tol and np.linalg.norm(c1 - c2) <= tol
+
+
+def sphere_groups(centers, radii) -> list:
+    """Spheres grouped by ``same_sphere``, greedily: in input order, each
+    joins the first group whose first member it matches, else opens a
+    new group.  Lists of input positions, in order of creation.
+
+    Only the pairs of centers a k-d tree finds within twice the largest
+    tolerance are compared, so near-equal radii of many distinct spheres
+    (a lattice) cost no quadratic number of comparisons.
+    """
+    reach = 2.0 * TAU_GEOM * float(np.max(radii, initial=0.0))
+    earlier = [[] for _ in radii]
+    for i, j in cKDTree(centers).query_pairs(reach, output_type="ndarray").tolist():
+        earlier[max(i, j)].append(min(i, j))
+    groups, led = [], {}  # led: first member -> its group
+    for i, near in enumerate(earlier):
+        for j in sorted(near):
+            if j in led and same_sphere(centers[i], radii[i], centers[j], radii[j]):
+                led[j].append(i)
+                break
+        else:
+            led[i] = [i]
+            groups.append(led[i])
+    return groups
 
 
 def hull_membership(bary):
@@ -227,9 +253,14 @@ def in_relative_interior(c, points) -> bool:
     m = len(q)
     u, s, _ = np.linalg.svd(q, full_matrices=False)
     a_eq = np.vstack([u[:, s > TAU_GEOM * s[0]].T, np.ones(m)])
+    b_eq = np.r_[np.zeros(len(a_eq) - 1), 1.0]
+    # Least-norm weights that meet the constraints and all clear sqrt(TAU_GEOM)
+    # already prove t > TAU_GEOM (the center of a regular polygon); the LP decides the rest.
+    lam = np.linalg.lstsq(a_eq, b_eq, rcond=None)[0]
+    if lam.min() > TAU_GEOM**0.5 and np.abs(a_eq @ lam - b_eq).max() <= TAU_GEOM:
+        return True
     res = linprog(np.r_[np.zeros(m), -1.0], A_ub=np.c_[-np.eye(m), np.ones(m)], b_ub=np.zeros(m),
-                  A_eq=np.c_[a_eq, np.zeros(len(a_eq))], b_eq=np.r_[np.zeros(len(a_eq) - 1), 1.0],
-                  method="highs-ds")
+                  A_eq=np.c_[a_eq, np.zeros(len(a_eq))], b_eq=b_eq, method="highs-ds")
     return res.status == 0 and -res.fun > TAU_GEOM
 
 

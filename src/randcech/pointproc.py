@@ -115,7 +115,13 @@ def sample_poisson(f: Density, n: float, rng: np.random.Generator) -> PointCloud
 
 # -- builtin densities -------------------------------------------------------
 
+def _require_dimension(d) -> None:
+    if not (isinstance(d, (int, np.integer)) and d >= 1):
+        raise ValueError(f"d must be an integer >= 1, got {d!r}")
+
+
 def uniform_box(d: int, side: float = 1.0) -> Density:
+    _require_dimension(d)
     if not side > 0:
         raise ValueError(f"side must be > 0, got {side}")
     vol = side**d
@@ -151,6 +157,7 @@ def _sample_shell(rng, m, d, r_in, r_out):
 
 
 def uniform_ball(d: int, radius: float = 1.0) -> Density:
+    _require_dimension(d)
     if not radius > 0:
         raise ValueError(f"radius must be > 0, got {radius}")
     vol = unit_ball_volume(d) * radius**d
@@ -177,6 +184,7 @@ def uniform_ball(d: int, radius: float = 1.0) -> Density:
 
 
 def uniform_annulus(d: int, r_in: float, r_out: float) -> Density:
+    _require_dimension(d)
     if not 0.0 < r_in < r_out:
         raise ValueError("need 0 < r_in < r_out")
     vol = unit_ball_volume(d) * (r_out**d - r_in**d)
@@ -203,6 +211,7 @@ def uniform_annulus(d: int, r_in: float, r_out: float) -> Density:
 
 
 def isotropic_gaussian(d: int, sigma: float = 1.0) -> Density:
+    _require_dimension(d)
     if not sigma > 0:
         raise ValueError(f"sigma must be > 0, got {sigma}")
     norm = (2.0 * np.pi * sigma**2) ** (-0.5 * d)

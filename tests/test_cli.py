@@ -183,3 +183,14 @@ def test_audit_counts_skipped_cases(capsys):
     assert main(["audit", "--clouds", "4", "--n", "80", "--seed", "0"]) == 0
     assert ("audited 29 (cloud, radius) cases: 0 mismatches; skipped 11 with "
             "more than 500000 simplices") in capsys.readouterr().out
+
+
+def test_dimension_below_one_is_config_error(capsys):
+    argv = ["enumerate", "--density", "uniform_box", "--n", "10", "--d", "0", "--eps", "0.1"]
+    assert main(argv) == 2
+    assert "config error: d must be an integer >= 1, got 0" in capsys.readouterr().err
+
+
+def test_audit_needs_five_points(capsys):
+    assert main(["audit", "--n", "3"]) == 2
+    assert "config error: --n must be >= 5, got 3" in capsys.readouterr().err

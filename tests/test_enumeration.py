@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+import randcech.enumeration as enumeration
 from randcech.enumeration import (
     GLOBAL,
     CliqueBudgetExceeded,
@@ -288,6 +289,100 @@ def test_path_and_counts_invariant_under_placement(caplog):
                     for p, e in variants]
     assert _paths(caplog) == ["delaunay"] * len(variants)
     assert by_index == [by_index[0]] * len(variants)
+
+
+# ------------------------------------------------------- Delaunay tiles
+
+def _fields(cps):
+    return [cps.index, cps.generators, cps.centers, cps.values]
+
+
+def _same(a, b):
+    """Byte-identical CriticalPoints arrays."""
+    return all(x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+               for x, y in zip(_fields(a), _fields(b)))
+
+
+def _tile_counts(monkeypatch):
+    """The list the tile count of each Delaunay enumeration is appended to."""
+    seen, slabs = [], enumeration._slabs
+
+    def spy(*args):
+        tiles = slabs(*args)
+        seen.append(len(tiles))
+        return tiles
+
+    monkeypatch.setattr(enumeration, "_slabs", spy)
+    return seen
+
+
+@pytest.mark.parametrize("d, n, tile_points, tiles", [(2, 200, 60, 3), (3, 80, 40, 2)])
+def test_tiles_equal_one_tile_and_the_oracle(d, n, tile_points, tiles, monkeypatch):
+    """Random clouds at the critical radius cut into slabs give the
+    single-tile result byte for byte, and the oracle's counts."""
+    r = n ** (-1.0 / d)
+    seen = _tile_counts(monkeypatch)
+    for trial in range(3):
+        cloud = sample_iid(uniform_box(d), n, substream(120, d, trial))
+        monkeypatch.setattr(enumeration, "TILE_POINTS", tile_points)
+        tiled = enumerate_grid(cloud, r)
+        monkeypatch.setattr(enumeration, "TILE_POINTS", 10**9)
+        single = enumerate_grid(cloud, r)
+        assert seen[-2:] == [tiles, 1]
+        assert _same(tiled, single)
+        assert (counts(tiled, n, r).by_index.tolist()
+                == counts(enumerate_brute(cloud, r), n, r).by_index.tolist())
+    assert tiled.index.size
+
+
+@pytest.mark.parametrize("relabel", [False, True])
+def test_tiled_lattice_keeps_every_maximum(relabel, monkeypatch):
+    """Neighbouring tiles of an exact lattice cut its cocircular squares
+    along different diagonals; pooling their faces still gives each
+    square its maximum (N_2 = 121), as one tile does.  Keeping each face
+    only in the tile of its lowest label gives 117 on the relabelled
+    lattice."""
+    lattice = np.stack(np.meshgrid(np.arange(12.0), np.arange(12.0), indexing="ij"),
+                       axis=-1).reshape(-1, 2)
+    if relabel:
+        lattice = lattice[substream(122, 1).permutation(144)]
+    seen = _tile_counts(monkeypatch)
+    monkeypatch.setattr(enumeration, "TILE_POINTS", 40)
+    tiled = enumerate_grid(lattice, 1.1)
+    monkeypatch.setattr(enumeration, "TILE_POINTS", 10**9)
+    single = enumerate_grid(lattice, 1.1)
+    assert seen == [3, 1]
+    assert list(counts(tiled, 144, 1.1).by_index) == [144, 264, 121]
+    assert _same(tiled, single)
+
+
+def test_tiles_do_not_depend_on_cpus_or_labels(monkeypatch):
+    """One CPU in the affinity mask gives the same result; relabelling
+    the cloud gives the same counts."""
+    import os
+
+    n = 2000
+    r = n ** -0.5
+    pts = sample_iid(uniform_box(2), n, substream(121, 0)).points
+    seen = _tile_counts(monkeypatch)
+    monkeypatch.setattr(enumeration, "TILE_POINTS", 500)
+    tiled = enumerate_grid(pts, r)
+    relabelled = enumerate_grid(pts[substream(121, 1).permutation(n)], r)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert _same(enumerate_grid(pts, r), tiled)
+    assert seen == [4, 4, 4]
+    assert counts(relabelled, n, r).by_index.tolist() == counts(tiled, n, r).by_index.tolist()
+
+
+def test_wide_padding_keeps_one_triangulation(monkeypatch):
+    """Where the 2 eps padding would more than double the points
+    triangulated, the cloud is one tile."""
+    pts = sample_iid(uniform_box(2), 2000, substream(121, 0)).points
+    seen = _tile_counts(monkeypatch)
+    monkeypatch.setattr(enumeration, "TILE_POINTS", 500)
+    enumerate_grid(pts, 0.05)
+    enumerate_grid(pts, 0.2)
+    assert seen == [4, 1]
 
 
 def test_one_dimensional_cloud():

@@ -20,8 +20,11 @@ from randcech.geometry import (
     circumspheres_batch,
     general_position,
     in_open_convex_hull,
+    in_relative_interior,
     min_enclosing_ball,
     min_enclosing_radii_batch,
+    same_sphere,
+    sphere_groups,
     spherical_cap_volume,
     two_ball_union_volume,
     two_ball_union_volumes_batch,
@@ -329,3 +332,69 @@ def test_union_volumes_batch_matches_scalar(rng):
                 two_ball_union_volume(Ball(c1[i], r1[i]), Ball(c2[i], r2[i])),
                 rel=1e-9,
             )
+
+
+def _first_match_groups(centers, radii):
+    """The rule ``sphere_groups`` keeps, by comparing every pair: each
+    sphere joins the first group whose first member it matches."""
+    groups = []
+    for i in range(len(radii)):
+        for group in groups:
+            if same_sphere(centers[i], radii[i], centers[group[0]], radii[group[0]]):
+                group.append(i)
+                break
+        else:
+            groups.append([i])
+    return groups
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_sphere_groups_equal_the_pairwise_rule(d, rng):
+    """Spheres scattered within a few tolerances of a few lattice
+    spheres, so that the first-match rule splits some clusters: the
+    k-d tree search gives exactly its groups."""
+    m = 400
+    lattice = rng.integers(0, 4, (12, d)).astype(float)
+    pick = rng.integers(0, len(lattice), m)
+    step = rng.standard_normal((m, d))
+    step *= (rng.uniform(0.0, 1.5, m) * TAU_GEOM / np.linalg.norm(step, axis=1))[:, None]
+    centers = lattice[pick] + step
+    radii = 1.0 + TAU_GEOM * rng.uniform(-0.5, 0.5, m)
+    groups = sphere_groups(centers, radii)
+    assert groups == _first_match_groups(centers, radii)
+    assert len(set(pick)) < len(groups) < m
+    assert sphere_groups(np.empty((0, d)), np.empty(0)) == []
+
+
+def _relative_interior_by_lp(c, points):
+    """in_relative_interior decided by its linear program alone."""
+    from scipy.optimize import linprog
+
+    q = np.asarray(points, dtype=float) - np.asarray(c, dtype=float)
+    m = len(q)
+    u, s, _ = np.linalg.svd(q, full_matrices=False)
+    a_eq = np.vstack([u[:, s > TAU_GEOM * s[0]].T, np.ones(m)])
+    res = linprog(np.r_[np.zeros(m), -1.0], A_ub=np.c_[-np.eye(m), np.ones(m)], b_ub=np.zeros(m),
+                  A_eq=np.c_[a_eq, np.zeros(len(a_eq))], b_eq=np.r_[np.zeros(len(a_eq) - 1), 1.0],
+                  method="highs-ds")
+    return res.status == 0 and -res.fun > TAU_GEOM
+
+
+def test_relative_interior_shortcut_agrees_with_the_lp(rng):
+    """The least-norm shortcut never changes the LP's answer: regular
+    polygons about their center, an edge midpoint and a vertex; random
+    cospherical sets about their center; a right triangle's hypotenuse."""
+    cases = []
+    for k in range(3, 9):
+        t = 2 * np.pi * np.arange(k) / k
+        polygon = np.stack([np.cos(t), np.sin(t)], axis=1)
+        cases += [(np.zeros(2), polygon), (0.5 * (polygon[0] + polygon[1]), polygon),
+                  (polygon[0], polygon)]
+    for d in (2, 3):
+        for m in range(d + 1, d + 5):
+            u = rng.standard_normal((m, d))
+            cases.append((np.zeros(d), u / np.linalg.norm(u, axis=1, keepdims=True)))
+    cases.append((np.array([0.5, 0.5]), np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])))
+    answers = [in_relative_interior(c, pts) for c, pts in cases]
+    assert answers == [_relative_interior_by_lp(c, pts) for c, pts in cases]
+    assert True in answers and False in answers

@@ -89,6 +89,16 @@ def test_density_refuses_nonpositive_size(factory, param, value):
         factory(2, **{param: value})
 
 
+@pytest.mark.parametrize("name, params", [
+    ("uniform_box", {}), ("uniform_ball", {}), ("uniform_annulus", {"r_in": 1.0, "r_out": 2.0}),
+    ("isotropic_gaussian", {}),
+])
+@pytest.mark.parametrize("d", [0, -1, 2.0])
+def test_density_refuses_dimension_below_one(name, params, d):
+    with pytest.raises(ValueError, match="d must be an integer >= 1"):
+        make_density(name, d, **params)
+
+
 def test_builtin_densities_catalog():
     cat = builtin_densities()
     for name in ("uniform_box", "uniform_ball", "uniform_annulus", "isotropic_gaussian"):
