@@ -531,11 +531,17 @@ def counts(critical_points, n: int, eps: float, d: int | None = None) -> Critica
 
 
 def verify_critical_point(cloud, cp: CriticalPoint, tol: float = 1e-6) -> bool:
-    """Independent post-hoc audit of one emitted critical point."""
+    """Independent post-hoc audit of one emitted critical point.
+
+    ``tol`` bounds the center's shift and the value's error relative to
+    the cloud's scale from ``local_frame``, so the answer does not change
+    when the cloud is scaled."""
     points = _as_points(cloud)
     gen = np.asarray(cp.generators, dtype=np.int64)
     if cp.index == 0:
         return len(gen) == 1 and cp.value == 0.0
+    scale = local_frame(points)[2]
+    tol = tol * scale
     pts = points[gen]
     if len(gen) != cp.index + 1:
         # degenerate merged point: only check center/value consistency
@@ -547,7 +553,7 @@ def verify_critical_point(cloud, cp: CriticalPoint, tol: float = 1e-6) -> bool:
     if np.linalg.norm(centers[0] - cp.center) > tol or abs(radii[0] - cp.value) > tol:
         return False
     others = np.linalg.norm(np.delete(points, gen, axis=0) - centers[0], axis=1)
-    return not len(others) or bool(at_least(others.min(), radii[0], local_frame(points)[2]))
+    return not len(others) or bool(at_least(others.min(), radii[0], scale))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,16 @@ within a radius, each time relative to a scale: distances to the
 cloud's scale from ``local_frame``, in which callers evaluate every
 predicate, and singular values, ties and ball containment to the tuple.
 So the answers do not change when a cloud is scaled or translated.
+
+Every circumsphere, barycentric test and miniball goes through one
+affine solve, ``_affine_solve``, over a stack of m tuples of k+1 points.
+It builds the k x k Gram matrices of the offsets with one ``np.einsum``
+and factors them all at once in ``_gram_solve``: an LDL^T factorisation
+unrolled over the k columns, each step one NumPy operation over the m
+rows.  No LAPACK or BLAS call is made per matrix, so a batch costs a few
+dozen whole-array operations and runs in parallel on threads, which
+stacked ``np.linalg.solve``/``det`` and matmul of tiny matrices do not.
+Rows whose Gram matrix fails the determinant test fall back to an SVD.
 """
 
 from __future__ import annotations
@@ -159,22 +169,59 @@ def _offsets(stacks, targets):
     return v, np.einsum("mij,mj->mi", v, targets - stacks[:, 0])
 
 
+def _gram_solve(gram, rhs):
+    """Solve G w = rhs for m symmetric k x k Gram matrices (m, k, k) by an
+    LDL^T factorisation unrolled over the k columns and vectorised over
+    the m rows, so no LAPACK or BLAS call is made per matrix.
+
+    Returns w (m, k) and ``ok`` (m,): every pivot > 0 and their product,
+    det G, > TAU_GEOM trace(G)^k.  A pivot at most TAU_GEOM trace(G)
+    already fails that test (no pivot exceeds the trace), so it is taken
+    as infinite: its column drops out and the rows that fail stay finite.
+    """
+    m, k = rhs.shape
+    tr = np.einsum("mii->m", gram)
+    cut = TAU_GEOM * tr
+    ok = np.ones(m, dtype=bool)
+    det = np.ones(m)
+    piv, low = [], [[None] * k for _ in range(k)]  # D_j; L[i][j] for i > j
+    raw = [[None] * k for _ in range(k)]  # raw[i][j] = L[i][j] D_j, needed until column i
+    for j in range(k):
+        dj = gram[:, j, j] - sum((low[j][l] * raw[j][l] for l in range(j)), 0.0)
+        det *= dj
+        live = dj > cut
+        ok &= live
+        dj[~live] = np.inf
+        piv.append(dj)
+        for i in range(j + 1, k):
+            raw[i][j] = gram[:, i, j] - sum((low[i][l] * raw[j][l] for l in range(j)), 0.0)
+            low[i][j] = raw[i][j] / dj
+        raw[j] = None
+    w = np.empty_like(rhs)  # forward substitution L z = rhs, then L^T w = z / D, in place
+    for i in range(k):
+        w[:, i] = rhs[:, i] - sum((low[i][l] * w[:, l] for l in range(i)), 0.0)
+    for i in reversed(range(k)):
+        w[:, i] = w[:, i] / piv[i] - sum((low[l][i] * w[:, l] for l in range(i + 1, k)), 0.0)
+    return w, ok & (det > TAU_GEOM * tr**k)
+
+
 def _affine_solve(stacks, targets=None):
     """Barycentric coordinates (m, k+1) of each tuple's circumcenter, or of
-    ``targets`` (m, d) in its affine hull, and ``ok`` (m,): the offsets'
-    smallest singular value exceeds TAU_GEOM times the largest.
+    ``targets`` (m, d) in its affine hull, ``ok`` (m,): the offsets'
+    smallest singular value exceeds TAU_GEOM times the largest, and the
+    offsets v_i = p_i - p_0 (m, k, d).
 
-    Rows with det(G) > TAU_GEOM trace(G)^k (Gram eigenvalue ratio above
-    TAU_GEOM) are solved through G; the rest through the SVD (least-norm
+    The Gram matrices G = v v^T come from one ``np.einsum``, and
+    ``_gram_solve`` solves G w = rhs for all rows at once.  Rows with
+    det(G) > TAU_GEOM trace(G)^k (Gram eigenvalue ratio above TAU_GEOM)
+    keep that solution; the rest are solved through the SVD (least-norm
     if rank-deficient), pivoted at the vertex whose offsets make the
     smallest largest dot product (for a triangle, the one opposite the
     longest edge): a frame at an end of that edge rounds away |v_i|^2's thin part.
     """
     _, kp1, d = stacks.shape
     v, rhs = _offsets(stacks, targets)
-    gram = v @ np.swapaxes(v, 1, 2)
-    ok = np.linalg.det(gram) > TAU_GEOM * np.trace(gram, axis1=1, axis2=2) ** (kp1 - 1)
-    w = np.linalg.solve(np.where(ok[:, None, None], gram, np.eye(kp1 - 1)), rhs[..., None])[..., 0]
+    w, ok = _gram_solve(np.einsum("mid,mjd->mij", v, v), rhs)
     bary = np.concatenate([1.0 - w.sum(axis=1, keepdims=True), w], axis=1)
     low = np.nonzero(~ok)[0]
     if len(low) and kp1 <= d + 1:
@@ -183,15 +230,15 @@ def _affine_solve(stacks, targets=None):
         dots = np.einsum("rijx,rilx->rijl", off, off)
         pivot = np.where(np.eye(kp1, dtype=bool), -np.inf, dots).max(axis=(2, 3)).argmin(axis=1)
         perm = (pivot[:, None] + np.arange(kp1)) % kp1
-        v, rhs = _offsets(sub[np.arange(len(low))[:, None], perm],
-                          None if targets is None else targets[low])
-        u, s, _ = np.linalg.svd(v, full_matrices=False)
+        pv, prhs = _offsets(sub[np.arange(len(low))[:, None], perm],
+                            None if targets is None else targets[low])
+        u, s, _ = np.linalg.svd(pv, full_matrices=False)
         kept = s > TAU_GEOM * s[:, :1]
         ok[low] = kept[:, -1]
         inv = np.where(kept, 1.0 / np.where(kept, s, 1.0) ** 2, 0.0)
-        w = np.einsum("mij,mj->mi", u, inv * np.einsum("mji,mj->mi", u, rhs))
-        bary[low[:, None], perm] = np.concatenate([1.0 - w.sum(axis=1, keepdims=True), w], axis=1)
-    return bary, ok
+        pw = np.einsum("mij,mj->mi", u, inv * np.einsum("mji,mj->mi", u, prhs))
+        bary[low[:, None], perm] = np.concatenate([1.0 - pw.sum(axis=1, keepdims=True), pw], axis=1)
+    return bary, ok, v
 
 
 def circumspheres_batch(stacks: np.ndarray):
@@ -209,8 +256,8 @@ def circumspheres_batch(stacks: np.ndarray):
         undefined there.
     """
     stacks = np.asarray(stacks, dtype=float)
-    bary, ok = _affine_solve(stacks)
-    offsets = np.einsum("mi,mij->mj", bary[:, 1:], stacks[:, 1:] - stacks[:, :1])
+    bary, ok, v = _affine_solve(stacks)
+    offsets = np.einsum("mi,mij->mj", bary[:, 1:], v)
     return stacks[:, 0] + offsets, np.linalg.norm(offsets, axis=1), bary, ok
 
 
@@ -230,7 +277,7 @@ def circumsphere(points) -> CircumSphere:
 def barycentric_coordinates(c, points) -> np.ndarray:
     """Barycentric coordinates of c with respect to k+1 affinely
     independent points (c assumed in their affine hull)."""
-    bary, ok = _affine_solve(np.asarray(points, float)[None], np.asarray(c, float)[None])
+    bary, ok, _ = _affine_solve(np.asarray(points, float)[None], np.asarray(c, float)[None])
     if not ok[0]:
         raise DegenerateConfiguration("hull points are affinely dependent")
     return bary[0]

@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import gammaln
 
 from .geometry import (
     circumspheres_batch,
@@ -160,8 +159,9 @@ def eta_1_closed_uniform(d: int, lam: float, vol_D: float) -> float:
 
 
 def sphere_area(dim: int) -> float:
-    """Surface area of the unit sphere S^(dim-1) in R^dim."""
-    return float(np.exp(math.log(2.0) + 0.5 * dim * math.log(math.pi) - gammaln(0.5 * dim)))
+    """Surface area of the unit sphere S^(dim-1) in R^dim: dim * omega_dim,
+    so that S_d / (d omega_d) is exactly 1 and gamma_1(inf) exactly 2^(d-1)."""
+    return dim * unit_ball_volume(dim)
 
 
 # ---------------------------------------------------------------------------
@@ -241,17 +241,23 @@ class _Draws:
         return self._spheres[key]
 
 
+def _require_dim(f: Density | None, d: int) -> None:
+    if f is not None and f.dim != d:
+        raise ValueError(f"density dimension f.dim = {f.dim} does not match d = {d}")
+
+
 def _integrate(integrands: list, d: int, samples: int, rng, f: Density | None = None,
                lam: float | None = None):
     """Means of ``integrands`` on one set of draws, and their covariance.
 
     ``lam`` is finite, inf (normal blocks put on spheres) or None for the
     integrals that carry no intensity (mu_k).  Every estimator passes its
-    lambda and sample count through here, so this is where bad ones are
-    refused.
+    lambda, sample count and density through here, so this is where bad
+    ones are refused.
     """
     if not samples >= 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    _require_dim(f, d)
     inf = lam == INF
     if lam is not None and not inf:
         if not lam > 0:
@@ -399,6 +405,7 @@ def mu_k_estimate(k: int, d: int, f: Density, samples: int = DEFAULT_SAMPLES,
     uniform sampling of y in B(0, 2)^k (the support of h_1)."""
     if not 1 <= k <= d:
         raise ValueError("need 1 <= k <= d")
+    _require_dim(f, d)
     rng = np.random.default_rng(0) if rng is None else rng
     w = (2.0**d * unit_ball_volume(d)) ** k
     ik = _estimate(_hull(k, w, lambda r, fx: 1.0, density=False), d, samples, rng)

@@ -14,6 +14,7 @@ import randcech.enumeration as enumeration
 from randcech.enumeration import (
     GLOBAL,
     CliqueBudgetExceeded,
+    CriticalPoint,
     GlobalCapExceeded,
     OracleCapExceeded,
     close_pairs,
@@ -492,6 +493,20 @@ def test_emitted_points_verify_independently():
     assert cps, "expected at least one critical point"
     for cp in cps:
         assert verify_critical_point(cloud, cp)
+
+
+def test_verify_critical_point_tolerance_is_relative_to_the_cloud():
+    """At every scale 1e-9 ... 1e9 every emitted point passes, and a
+    saddle whose center is moved by 1 % of its value fails."""
+    cloud = sample_iid(uniform_box(2), 300, substream(107, 0))
+    for scale in (1e-9, 1e-3, 1.0, 1e3, 1e9):
+        points = scale * cloud.points
+        cps = enumerate_grid(points, 0.1 * scale)
+        assert all(verify_critical_point(points, cp) for cp in cps)
+        saddle = next(cp for cp in cps if cp.index == 1)
+        moved = CriticalPoint(1, saddle.center + [0.01 * saddle.value, 0.0], saddle.value,
+                              saddle.generators)
+        assert not verify_critical_point(points, moved)
 
 
 def test_counts_injects_minima():

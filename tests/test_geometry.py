@@ -3,6 +3,7 @@ cap and two-ball union volumes."""
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from randcech.geometry import (
     two_ball_union_volumes_batch,
     unit_ball_volume,
 )
+from randcech.geometry import _affine_solve, _gram_solve
 from randcech.pointproc import substream
 
 from conftest import random_rotation
@@ -148,6 +150,99 @@ def test_circumspheres_batch_thin_right_triangle():
     assert np.allclose(bary[0], (0.5, 0.0, 0.5), rtol=0, atol=1e-12)
     assert np.allclose(centers[0], (0.5, 0.5e-8), rtol=0, atol=1e-12)
     assert radii[0] == pytest.approx(0.5, rel=1e-12)
+
+
+# ------------------------------------------------------- the affine solve kernel
+
+def _well_conditioned(stacks):
+    v = stacks[:, 1:] - stacks[:, :1]
+    return np.linalg.cond(v @ np.swapaxes(v, 1, 2)) < 1e3
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_affine_solve_agrees_with_a_per_row_reference(k, rng):
+    """Circumcenters against np.linalg.solve of each row's Gram system, and
+    the coordinates of targets (off the hull when d > k) against lstsq:
+    barycentric coordinates within 1e-12 of the row's largest."""
+    for d in range(k, 6):
+        stacks = rng.standard_normal((100, k + 1, d))
+        stacks = stacks[_well_conditioned(stacks)]
+        assert len(stacks) >= 20
+        targets = rng.standard_normal((len(stacks), d))
+        for t in (None, targets):
+            bary, ok, v = _affine_solve(stacks, t)
+            assert ok.all()
+            assert np.array_equal(v, stacks[:, 1:] - stacks[:, :1])
+            for row, p in enumerate(stacks):
+                off = p[1:] - p[0]
+                if t is None:
+                    w = np.linalg.solve(off @ off.T, 0.5 * np.sum(off * off, axis=1))
+                else:
+                    w = np.linalg.lstsq(off.T, t[row] - p[0], rcond=None)[0]
+                ref = np.r_[1.0 - w.sum(), w]
+                assert np.abs(bary[row] - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_gram_solve_ok_is_the_determinant_test(k, rng):
+    """Simplices flattened along one axis by 10^-8 ... 1, so that
+    det G / trace(G)^k sweeps across TAU_GEOM: outside a 1e-6 band about
+    the cutoff, ``ok`` is the determinant test by np.linalg.det.  All-zero
+    rows are not ok."""
+    m = 4000
+    stacks = rng.standard_normal((m, k + 1, k))
+    stacks[:, :, -1] *= 10.0 ** rng.uniform(-8.0, 0.0, (m, 1))
+    stacks[:20] = 0.0
+    v = stacks[:, 1:] - stacks[:, :1]
+    gram = np.einsum("mid,mjd->mij", v, v)
+    _, ok = _gram_solve(gram, 0.5 * np.einsum("mii->mi", gram))
+    assert not ok[:20].any()
+    ratio = np.linalg.det(gram[20:]) / (TAU_GEOM * np.trace(gram[20:], axis1=1, axis2=2) ** k)
+    far = np.abs(ratio - 1.0) > 1e-6
+    assert np.array_equal(ok[20:][far], ratio[far] > 1.0)
+    if k > 1:  # the sweep crosses the cutoff
+        assert np.sum((ratio > 0.1) & (ratio < 10.0)) >= 100
+
+
+def test_degenerate_rows_are_quiet(rng):
+    """More than d+1 points, coincident points, collinear points and
+    all-zero rows, at scales 1e-9 to 1e9: never ok, finite, and no
+    RuntimeWarning, with and without targets."""
+    cases = [
+        rng.standard_normal((5, 4, 2)),
+        rng.standard_normal((5, 6, 3)),
+        np.array([[[0, 0], [1, 2], [1, 2]], [[3, 3], [3, 3], [3, 3]]], float),
+        np.array([[[0, 0, 0], [1, 2, 3], [1, 2, 3], [4, 4, 0]]], float),
+        np.array([[[0, 0], [1, 1], [2, 2]], [[0, 0], [1, 0], [3, 0]]], float),
+        np.array([[[0, 0, 0], [1, 2, 3], [3, 6, 9]]], float),
+        np.zeros((3, 2, 2)),
+        np.zeros((3, 3, 2)),
+        np.zeros((3, 4, 3)),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for stacks in cases:
+            for scale in (1e-9, 1.0, 1e9):
+                centers, radii, bary, ok = circumspheres_batch(scale * stacks)
+                assert not ok.any()
+                assert np.isfinite(centers).all() and np.isfinite(radii).all()
+                bary, ok, _ = _affine_solve(scale * stacks, scale * stacks[:, -1])
+                assert not ok.any() and np.isfinite(bary).all()
+
+
+def test_circumspheres_make_no_per_matrix_lapack_call(monkeypatch, rng):
+    """np.linalg.solve and np.linalg.det are not called on generic rows."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-matrix LAPACK call")
+
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    monkeypatch.setattr(np.linalg, "det", refuse)
+    for k, d in ((1, 1), (1, 3), (2, 2), (2, 3), (3, 3), (4, 5)):
+        stacks = rng.standard_normal((200, k + 1, d))
+        centers, radii, bary, ok = circumspheres_batch(stacks)
+        assert ok.all()
+        dist = np.linalg.norm(stacks - centers[:, None], axis=2)
+        assert np.allclose(dist, radii[:, None], rtol=1e-8)
 
 
 # ------------------------------------------------------------- hull membership

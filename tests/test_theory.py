@@ -122,6 +122,16 @@ def test_gamma_1_inf_is_exact_power_of_two():
         assert est.value == pytest.approx(target, rel=1e-9)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_gamma_1_inf_is_bit_exact(d):
+    """h(0, u) R(0, u)^(-d) is 2^d for a pair, up to the rounding of |u|,
+    and the factor is exactly 1/2, so the estimate is exactly 2^(d-1)."""
+    for seed in (404, 405, 406):
+        est = gamma_k_inf_estimate(1, d, 20_000, substream(seed, d))
+        assert est.value == 2.0 ** (d - 1)
+        assert est.std_err <= 1e-9 * est.value
+
+
 def test_gamma_inf_alternating_sum_d3():
     rng = substream(404, 0)
     samples = {1: 50_000, 2: 500_000, 3: 1_600_000}
@@ -226,6 +236,17 @@ def test_nonpositive_lambda_raises(estimator, lam):
 def test_bad_sample_count_raises(estimator, samples):
     with pytest.raises(ValueError, match="samples"):
         estimator(uniform_box(2), 1.0, samples)
+
+
+@ESTIMATORS
+def test_density_of_another_dimension_raises(estimator):
+    with pytest.raises(ValueError, match=r"f\.dim = 3.* d = 2"):
+        estimator(uniform_box(3), 1.0)
+
+
+def test_mu_k_refuses_a_density_of_another_dimension():
+    with pytest.raises(ValueError, match=r"f\.dim = 2.* d = 3"):
+        mu_k_estimate(1, 3, uniform_box(2), 1000)
 
 
 # --------------------------------------------------------------- MC mechanics
