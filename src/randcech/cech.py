@@ -2,14 +2,15 @@
 
 A simplex on vertices Y belongs to the Cech complex at radius eps iff
 the smallest enclosing ball of Y has radius at most eps (equivalently,
-the eps-balls around Y have a common point).  The complex is built by
-expanding cliques of the 2*eps proximity graph level by level with the
-lower-neighbor expander that enumeration uses (``expand_cliques``, on
-k-d tree pairs).  Up to level d each candidate's miniball radius is
-checked exactly.  Above it Helly's theorem decides: a set of more than
-d+1 points is a simplex iff all its (d+1)-subsets are, so membership is
-a sorted integer-key lookup in level d, and no larger miniball is
-computed.
+the eps-balls around Y have a common point).  The complex is built
+level by level with the sibling join that enumeration uses
+(``expand_cliques``, on the k-d tree pairs of the 2*eps proximity
+graph): two simplices (P, v) and (P, w) of a level give the candidate
+(P, v, w) iff (v, w) is an edge.  Up to level d each candidate's
+miniball radius is checked exactly.  Above it Helly's theorem decides:
+a set of more than d+1 points is a simplex iff all its (d+1)-subsets
+are, so membership is d sorted integer-key lookups in the levels
+below, and no larger miniball is computed.
 
 Betti numbers are computed over GF(2) by Gaussian elimination on
 boundary matrices (columns stored as bitmasks); beta_0 is cross-checked
@@ -21,7 +22,6 @@ radius (Morse counting).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -143,25 +143,40 @@ def _helly_members(level, children, parents, keys, d, n):
     """Rows of the children of ``level`` (above level d) that are simplices.
 
     By Helly's theorem a set of more than d+1 points is a simplex iff
-    all its (d+1)-subsets are, and those of the parent (P, v) are.  So
-    the child (P, v, w) is one iff its sibling (P, w), which holds every
-    subset that misses v, is a row of ``level`` and each S + v + w, S a
-    (d-1)-subset of P, is a row of level d.  The rows of the faces S + v
-    in level d-1 are found once per parent by chained key lookups; a
-    missing face gets row -1, whose keys match nothing.
+    all its (d+1)-subsets are.  ``expand_cliques`` joins the siblings
+    (P, v) and (P, w) of ``level`` into the child X = (P, v, w), so the
+    subsets that miss v or w are simplices already.  Each other subset
+    misses one of the last d-1 vertices x of P, and so lies in the facet
+    X - x, or else it is the set of the last d+1 vertices of X.  So X is
+    a simplex iff those d-1 facets are rows of ``level`` and that set is
+    a row of level d: d lookups per child.  A facet's prefix is found
+    once per parent: the parent's key holds the row of its own prefix,
+    which gives the rows before x, and chained key lookups add the
+    vertices after x.  A missing set gets row -1, whose keys match
+    nothing.
     """
     w = children[:, -1]
-    sibling = keys[-1][parents] + w - level[parents, -1]
-    alive = np.flatnonzero(_row_of(keys[-1], sibling) >= 0)
+    alive = np.arange(len(children))
     first = np.r_[True, parents[1:] != parents[:-1]]
-    rows, owner = level[parents[first]], np.cumsum(first) - 1
+    heads, owner = parents[first], np.cumsum(first) - 1
+    rows = level[heads]
     size = rows.shape[1]
-    for face in itertools.combinations(range(size - 1), d - 1):
-        cols = (*face, size - 1)
-        row = rows[:, cols[0]]
-        for k, col in enumerate(cols[1:]):
-            row = _row_of(keys[k], row * n + rows[:, col])
-        alive = alive[_row_of(keys[d - 1], row[owner[alive]] * n + w[alive]) >= 0]
+    # each check looks up the parent's columns [0, a) and [b, size), then w
+    checks = [(x, x + 1) for x in range(size - d, size - 1)]
+    if d > 1:  # for d = 1 the last two vertices are the joined edge
+        checks.append((0, size - d))
+    for a, b in checks:
+        if a:
+            row = heads
+            for k in range(size - 1, a - 1, -1):
+                row = keys[k - 1][row] // n  # the row of columns [0, k)
+        else:
+            row, b = rows[:, b], b + 1
+        have = max(a, 1)  # vertices in the set that ``row`` indexes
+        for col in range(b, size):
+            row = _row_of(keys[have - 1], row * n + rows[:, col])
+            have += 1
+        alive = alive[_row_of(keys[have - 1], row[owner[alive]] * n + w[alive]) >= 0]
     return alive
 
 

@@ -16,7 +16,7 @@ Two enumeration paths produce identical counts and values:
   candidates from Delaunay faces (scipy/Qhull) when 2 <= d <= 3 and the
   graph has more than 2^d n edges, and otherwise from its cliques:
   pairs from a k-d tree (``close_pairs``), larger cliques from the
-  lower-neighbor expander ``expand_cliques``, which ``cech`` shares.
+  sibling join ``expand_cliques``, which ``cech`` shares.
 
 CP2 is verified against the full cloud on both sources, so the choice
 only affects speed, never the counts.
@@ -151,41 +151,51 @@ def _lexicographic(pairs: np.ndarray, n: int) -> np.ndarray:
 
 def expand_cliques(level: np.ndarray, edges: np.ndarray, n: int,
                    max_new: int | None = None):
-    """Extend the cliques of a graph by one vertex.
+    """Extend the sets of one level of a downward-closed family by one
+    vertex, by joining sibling rows.
 
     ``edges`` holds the graph's edges (i, j), i < j, in lexicographic
-    order; ``level`` holds sorted cliques, one per row.  Each clique is
-    extended by every higher neighbor w of its last vertex that is
-    adjacent to all its other vertices (lower-neighbor expansion), so a
-    lexicographically sorted level gives a sorted next level.  Returns
-    the next level and, per row, the row of ``level`` it extends.
+    order; ``level`` holds sorted sets of one size, one per row, in
+    lexicographic order.  So the rows that share a prefix P are
+    contiguous, and each pair of siblings (P, v), (P, w), v < w, gives
+    the candidate (P, v, w), kept iff (v, w) is an edge: one key lookup
+    per candidate.  The children are exactly the sets X = (x_0, ..., x_s)
+    whose faces X - x_s and X - x_{s-1} are rows and whose last two
+    vertices are adjacent.  On the cliques of a graph these are all the
+    cliques of the next size; on a level of Cech simplices they hold
+    every simplex of the next level.  The next level is lexicographic
+    again.  Returns it and, per row, the row of ``level`` it extends.
 
-    Candidates are built ``CLIQUE_CHUNK`` rows at a time, and ``max_new``
+    Candidates are built ``CLIQUE_CHUNK`` at a time, and ``max_new``
     aborts a combinatorial blow-up once more rows than that are kept.
     """
     m, size = level.shape
     if m == 0 or len(edges) == 0:
         return np.empty((0, size + 1), dtype=np.int64), np.empty(0, dtype=np.int64)
     keys = edges[:, 0] * n + edges[:, 1]
-    indptr = np.searchsorted(edges[:, 0], np.arange(n + 1))
     last = level[:, -1]
-    first = indptr[last]
-    degree = indptr[last + 1] - first
-    ends = np.cumsum(degree)
+    head = np.zeros(m, dtype=bool)  # the first row of each prefix group
+    head[0] = True
+    for col in range(size - 1):
+        head[1:] |= level[1:, col] != level[:-1, col]
+    # per row, the number of siblings after it: rows to the end of its group
+    starts = np.flatnonzero(head)
+    stops = np.r_[starts[1:], m]
+    younger = np.repeat(stops, stops - starts) - np.arange(1, m + 1)
+    ends = np.cumsum(younger)
     rows, parents, kept = [], [], 0
     lo = 0
     while lo < m:
         done = ends[lo - 1] if lo else 0
         hi = max(int(np.searchsorted(ends, done + CLIQUE_CHUNK, side="right")), lo + 1)
-        deg = degree[lo:hi]
+        deg = younger[lo:hi]
         parent = np.repeat(np.arange(lo, hi), deg)
-        offset = np.arange(len(parent)) - np.repeat(ends[lo:hi] - deg - done, deg)
-        w = edges[first[parent] + offset, 1]
-        for col in range(size - 1):
-            key = level[parent, col] * n + w
-            pos = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
-            adjacent = keys[pos] == key
-            parent, w = parent[adjacent], w[adjacent]
+        sibling = parent + 1 + np.arange(len(parent)) - np.repeat(ends[lo:hi] - deg - done, deg)
+        w = last[sibling]
+        key = last[parent] * n + w
+        pos = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
+        adjacent = keys[pos] == key
+        parent, w = parent[adjacent], w[adjacent]
         kept += len(parent)
         if max_new is not None and kept > max_new:
             raise CliqueBudgetExceeded(

@@ -170,20 +170,29 @@ def sphere_area(dim: int) -> float:
 
 def _mc_mean(fn, samples: int, rng):
     """Chunked streaming means of the rows of ``fn(rng, m)``, a (p, m)
-    array of per-sample values, and their covariance, from the sums of v_i
-    and of v_i v_j.  Deterministic for a given rng state and sample count,
-    but not independent of the chunking: each chunk draws all blocks of
-    one kind before the next."""
+    array of per-sample values, and their covariance.  The means divide
+    the sums of v_i by the sample count.  The covariance comes from the
+    sums of u_i = v_i - c_i and of u_i u_j, with c the first chunk's
+    means, so a near-constant integrand's variance does not cancel to
+    rounding noise.
+    Deterministic for a given rng state and sample count, but not
+    independent of the chunking: each chunk draws all blocks of one kind
+    before the next."""
     done = 0
-    s = s2 = 0.0
+    c = None
+    s = su = su2 = 0.0
     while done < samples:
         m = min(_CHUNK, samples - done)
         v = np.asarray(fn(rng, m), dtype=float)
+        if c is None:
+            c = v.mean(axis=1)
+        u = v - c[:, None]
         s = s + v.sum(axis=1)
-        s2 = s2 + np.array([[(a * b).sum() for b in v] for a in v])
+        su = su + u.sum(axis=1)
+        su2 = su2 + np.array([[(a * b).sum() for b in u] for a in u])
         done += m
-    mean = s / samples
-    return mean, (s2 / samples - np.outer(mean, mean)) / samples
+    shift = su / samples
+    return s / samples, (su2 / samples - np.outer(shift, shift)) / samples
 
 
 def _with_origin(y: np.ndarray) -> np.ndarray:

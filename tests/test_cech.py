@@ -117,7 +117,7 @@ def _cliques(adjacent, max_size):
     return out
 
 
-@pytest.mark.parametrize("d, eps", [(2, 0.2), (3, 0.3)])
+@pytest.mark.parametrize("d, eps", [(2, 0.2), (3, 0.3), (1, 0.05), (4, 0.4)])
 def test_membership_above_level_d_is_exact(d, eps):
     """Every clique of the 2 eps graph with up to 7 vertices is a simplex
     iff its miniball radius is at most eps, also above level d, where
@@ -170,6 +170,25 @@ def test_level_keys_do_not_overflow(labels):
     cx = build_cech(points, 0.1)
     assert list(cx.counts()) == [7000, 21, 35, 35, 21, 7, 1]
     assert cx.simplices[6].tolist() == [labels]
+
+
+def test_known_d2_complex_is_pinned():
+    """The n = 5 000 cloud on which the tie-rule fault was first seen, at
+    r = n^-1/2: 500 k simplices over 14 levels, chi equal to the Morse
+    count, and the same counts after a seeded relabelling."""
+    n = 5000
+    r = n ** -0.5
+    points = sample_iid(uniform_box(2), n, substream(5, 0)).points
+    want = [5000, 30683, 71877, 101111, 101418, 79055, 50637, 28073, 14017,
+            6270, 2373, 698, 144, 18, 1]
+    cx = build_cech(points, r)
+    assert cx.counts().tolist() == want
+    assert euler_characteristic(cx) == -441
+    cc = counts(enumerate_grid(points, r), n, r, 2)
+    assert list(cc.by_index) == [5000, 9493, 4052]
+    assert euler_from_critical(cc) == -441
+    relabelled = points[substream(5, 1).permutation(n)]
+    assert build_cech(relabelled, r).counts().tolist() == want
 
 
 def test_simplex_counts_monotone_in_eps():

@@ -462,12 +462,59 @@ def test_expand_cliques_equals_brute_force_listing():
 def test_expand_cliques_budget():
     """A complete graph whose triangle candidates span two chunks."""
     n = 120
+    assert math.comb(n, 3) > enumeration.CLIQUE_CHUNK
     edges = np.array(list(itertools.combinations(range(n), 2)), dtype=np.int64)
     with pytest.raises(CliqueBudgetExceeded):
         expand_cliques(edges, edges, n, max_new=1000)
     nxt, parents = expand_cliques(edges, edges, n, max_new=math.comb(n, 3))
     assert nxt.tolist() == [list(c) for c in itertools.combinations(range(n), 3)]
     assert np.array_equal(nxt[:, :-1], edges[parents])
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_expand_cliques_joins_siblings_of_any_downward_closed_level(d):
+    """On the Cech levels of small clouds, which are downward closed but
+    not the clique levels of their graph, the children are exactly the
+    sets X = (x_0, ..., x_s) whose faces X - x_s and X - x_{s-1} are rows
+    and whose last two vertices are adjacent, in lexicographic order."""
+    partial = 0
+    for trial in range(12):
+        rng = substream(112, d, trial)
+        n = int(rng.integers(6, 15))
+        points = sample_iid(uniform_box(d), n, rng).points
+        cx = build_cech(points, float(rng.uniform(0.15, 0.45)))
+        if 1 not in cx.simplices:
+            continue
+        edges = cx.simplices[1]
+        adjacent = {tuple(e) for e in edges.tolist()}
+        for j in range(1, max(cx.simplices) + 1):
+            level = cx.simplices[j]
+            rows = {tuple(r) for r in level.tolist()}
+            nxt, parents = expand_cliques(level, edges, n)
+            want = [x for x in itertools.combinations(range(n), j + 2)
+                    if x[:-1] in rows and x[:-2] + x[-1:] in rows and x[-2:] in adjacent]
+            assert nxt.tolist() == [list(x) for x in want]
+            assert np.array_equal(nxt[:, :-1], level[parents])
+            partial += len(nxt) > len(cx.simplices.get(j + 1, ()))
+    assert partial > 0  # some level's children were not all simplices
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_expand_cliques_chunks_end_inside_sibling_groups(monkeypatch, chunk):
+    """Chunks of 1 or 7 candidates cut sibling groups apart; the rows and
+    parents are those of the default chunking."""
+    n = 40
+    edges = _random_graph(substream(113, 0), n, 0.5)
+    levels, default = [edges], []
+    while len(levels[-1]):
+        default.append(expand_cliques(levels[-1], edges, n))
+        levels.append(default[-1][0])
+    assert len(levels) > 4
+    monkeypatch.setattr(enumeration, "CLIQUE_CHUNK", chunk)
+    for level, (nxt, parents) in zip(levels, default):
+        chunked, chunked_parents = expand_cliques(level, edges, n)
+        assert np.array_equal(chunked, nxt) and chunked.shape == nxt.shape
+        assert np.array_equal(chunked_parents, parents)
 
 
 def test_close_pairs_sorted_and_complete():

@@ -132,6 +132,14 @@ def test_gamma_1_inf_is_bit_exact(d):
         assert est.std_err <= 1e-9 * est.value
 
 
+def test_near_constant_integrand_has_no_cancellation_noise():
+    """The 20 000 values are 8 within a few ulp, so the standard error is
+    below 1e-15; s2/n - mean^2 would leave about 1e-9 of rounding noise."""
+    est = gamma_k_inf_estimate(1, 4, 20_000, substream(404, 4))
+    assert est.value == 8.0
+    assert est.std_err < 1e-12
+
+
 def test_gamma_inf_alternating_sum_d3():
     rng = substream(404, 0)
     samples = {1: 50_000, 2: 500_000, 3: 1_600_000}
