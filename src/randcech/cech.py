@@ -28,7 +28,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .geometry import at_most, local_frame, min_enclosing_radii_batch, widen
-from .enumeration import CliqueBudgetExceeded, _as_points, close_pairs, expand_cliques
+from .enumeration import CliqueBudgetExceeded, _as_points, _eps_rule, _lexicographic, expand_cliques
 
 MAX_SIMPLICES = 2_000_000
 BETTI_BUDGET = 200_000_000  # bit-operations budget for GF(2) elimination
@@ -71,15 +71,18 @@ class CechComplex:
 
 def build_cech(cloud, eps: float, dim_cap: int | None = None,
                max_simplices: int = MAX_SIMPLICES) -> CechComplex:
-    """Cech complex at radius eps, optionally capped at dimension dim_cap.
+    """Cech complex at radius eps, optionally capped at dimension
+    dim_cap >= 1.  eps follows the enumeration rule: None or inf gives
+    the whole complex, NaN and eps <= 0 raise.
 
     If the cap removes simplices that would otherwise be present the
     result is flagged ``truncated`` and refuses Euler-characteristic
     queries.
     """
+    eps = _eps_rule(eps) or np.inf  # global: every pair is an edge
+    if dim_cap is not None and dim_cap < 1:
+        raise ValueError(f"dim_cap must be >= 1, got {dim_cap}")
     points = _as_points(cloud)
-    if eps <= 0:
-        raise ValueError("eps must be > 0")
     n, d = points.shape if points.size else (len(points), 0)
     cx = CechComplex(dim=points.shape[1] if points.size else 0, eps=float(eps),
                      n_vertices=n, dim_cap=dim_cap)
@@ -88,7 +91,7 @@ def build_cech(cloud, eps: float, dim_cap: int | None = None,
         return cx
     points, _, scale = local_frame(points)
     tree = cKDTree(points)
-    pairs = close_pairs(tree, 2.0 * widen(eps, scale))
+    pairs = _lexicographic(tree.query_pairs(2.0 * widen(eps, scale), output_type="ndarray"), n)
     # edge certificate: miniball radius = half the edge length
     radii = 0.5 * np.linalg.norm(points[pairs[:, 0]] - points[pairs[:, 1]], axis=1)
     edges = pairs[at_most(radii, eps, scale)]
@@ -258,7 +261,7 @@ def betti_numbers(cx: CechComplex, max_dim: int | None = None,
     top = max(cx.simplices, default=0)
     if max_dim is None:
         max_dim = top
-    if cx.truncated and max_dim >= (cx.dim_cap or top):
+    if cx.truncated and max_dim >= (top if cx.dim_cap is None else cx.dim_cap):
         raise TruncatedComplex(
             "requested Betti dimension reaches the truncation cap"
         )

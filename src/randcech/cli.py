@@ -49,7 +49,7 @@ def _cmd_enumerate(args) -> int:
     eps = math.inf if args.use_global else args.eps
     if eps is None:
         raise ValueError("need --eps X or --global")
-    if math.isinf(eps):
+    if eps == math.inf:
         cps = enumeration.enumerate_global(cloud)
     else:
         cps = enumeration.enumerate_grid(cloud, eps)

@@ -15,11 +15,15 @@ Two enumeration paths produce identical counts and values:
   a clique of the 2 eps proximity graph.  ``_pick_strategy`` draws the
   candidates from Delaunay faces (scipy/Qhull) when 2 <= d <= 3 and the
   graph has more than 2^d n edges, and otherwise from its cliques:
-  pairs from a k-d tree (``close_pairs``), larger cliques from the
-  sibling join ``expand_cliques``, which ``cech`` shares.
+  pairs from the frame's k-d tree, larger cliques from the sibling join
+  ``expand_cliques``, which ``cech`` shares.
 
 CP2 is verified against the full cloud on both sources, so the choice
-only affects speed, never the counts.
+only affects speed, never the counts.  Both paths, ``is_generating``
+and ``count_index1`` read eps by one rule (``_eps_rule``: None or inf
+is global, NaN or eps <= 0 raises) and work in one ``_frame``: the
+centred cloud, its k-d tree and scale, and the call's one pair query,
+at radius 2 eps, whose pairs also show coincident points.
 
 At finite eps a cloud of n >= 2 ``TILE_POINTS`` points is triangulated
 in tiles (``_slabs``): slabs of equal point counts along the widest
@@ -44,6 +48,7 @@ import itertools
 import logging
 import math
 import os
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -135,11 +140,6 @@ class CriticalCounts:
 
 # ---------------------------------------------------------------------------
 # candidate generation: close pairs and their cliques
-
-
-def close_pairs(tree: cKDTree, r: float) -> np.ndarray:
-    """Index pairs (i, j), i < j, at distance <= r, in lexicographic order."""
-    return _lexicographic(tree.query_pairs(r, output_type="ndarray"), tree.n)
 
 
 def _lexicographic(pairs: np.ndarray, n: int) -> np.ndarray:
@@ -248,8 +248,8 @@ def delaunay_subsets(points: np.ndarray, k_max: int) -> dict:
 # candidate evaluation
 
 
-def _evaluate_batch(frame, subsets, eps, workers=-1):
-    """Apply CP1-CP3 to an (m, k+1) array of candidate subsets.
+def _evaluate_batch(frame, subsets, workers=-1):
+    """Apply CP1-CP3 (CP3 at the frame's eps) to (m, k+1) candidate subsets.
 
     Returns the passing candidates (CP2, CP3 and at least the relaxed
     hull test) as arrays ``(subsets, centers, radii, strict)``;
@@ -257,19 +257,18 @@ def _evaluate_batch(frame, subsets, eps, workers=-1):
     retained for the cospherical tie rule.  ``workers`` threads run the
     CP2 query (-1: one per CPU).
     """
-    points, _, tree, scale = frame
     subsets = np.asarray(subsets, dtype=np.int64)
-    centers, radii, bary, ok = circumspheres_batch(points[subsets])
+    centers, radii, bary, ok = circumspheres_batch(frame.local[subsets])
     strict, weak = hull_membership(bary)
     mask = weak & ok
-    if eps is not None and np.isfinite(eps):
-        mask = mask & at_most(radii, eps, scale)
+    if frame.eps is not None:
+        mask = mask & at_most(radii, frame.eps, frame.scale)
     idx = np.nonzero(mask)[0]
     if len(idx):
         # CP2: the nearest cloud point to the center must be no closer
         # than R (the generators themselves lie at distance exactly R).
-        dmin, _ = tree.query(centers[idx], k=1, workers=workers)
-        idx = idx[at_least(dmin, radii[idx], scale)]
+        dmin, _ = frame.tree.query(centers[idx], k=1, workers=workers)
+        idx = idx[at_least(dmin, radii[idx], frame.scale)]
     return subsets[idx], centers[idx], radii[idx], strict[idx]
 
 
@@ -292,7 +291,7 @@ def _resolve_ties(points: np.ndarray, frame, batches: list) -> CriticalPoints:
         return CriticalPoints(points, np.empty(0, dtype=np.int64),
                               np.empty((0, 1), dtype=np.int64),
                               np.empty((0, points.shape[1])), np.empty(0))
-    local, origin = frame[:2]
+    local = frame.local
     # One row per candidate: its generators, padded with -1.
     width = max(b[0].shape[1] for b in batches)
     gens = np.concatenate([np.pad(b[0], ((0, 0), (0, width - b[0].shape[1])),
@@ -335,7 +334,7 @@ def _resolve_ties(points: np.ndarray, frame, batches: list) -> CriticalPoints:
     out_values = values[rows]
     perm = np.lexsort([*out_gens.T[::-1], out_values, index])
     return CriticalPoints(points, index[perm], out_gens[perm],
-                          centers[rows[perm]] + origin, out_values[perm])
+                          centers[rows[perm]] + frame.origin, out_values[perm])
 
 
 def _as_points(cloud) -> np.ndarray:
@@ -345,23 +344,41 @@ def _as_points(cloud) -> np.ndarray:
     return points.reshape(0, 0) if points.ndim == 1 and len(points) == 0 else points
 
 
-def _frame(points):
-    """Local frame, origin, k-d tree and scale of the points; coincident ones raise."""
+def _eps_rule(eps) -> float | None:
+    """eps as a radius > 0, or None (global) for None or inf; NaN and eps <= 0 raise."""
+    if eps is None or eps == math.inf:
+        return None
+    if not eps > 0:
+        raise ValueError("eps must be > 0")
+    return float(eps)
+
+
+# the cloud minus its centroid, the centroid, the k-d tree over the
+# former, the cloud's scale, and eps (None: global)
+_Frame = namedtuple("_Frame", "local origin tree scale eps")
+
+
+def _frame(points, eps):
+    """The frame of the points at eps (as ``_eps_rule`` gives it) and the
+    pairs within 2 eps (widened; None when global) from the call's one
+    pair query.  Coincident points raise."""
     local, origin, scale = local_frame(points)
     tree = cKDTree(local)
-    pairs = tree.query_pairs(widen(0.0, scale), output_type="ndarray")
-    require_distinct(pairs, np.linalg.norm(local[pairs[:, 0]] - local[pairs[:, 1]], axis=1), scale)
-    return local, origin, tree, scale
+    pairs = tree.query_pairs(2.0 * widen(eps or 0.0, scale), output_type="ndarray")
+    # a pair within the slack is, rounding aside, that close in every coordinate
+    near = pairs[at_most(np.abs(local[pairs[:, 0], 0] - local[pairs[:, 1], 0]), 0.0, 2 * scale)]
+    require_distinct(near, np.linalg.norm(local[near[:, 0]] - local[near[:, 1]], axis=1), scale)
+    return _Frame(local, origin, tree, scale, eps), None if eps is None else pairs
 
 
 def is_generating(generators, cloud, eps=GLOBAL) -> bool:
     """CP1 + CP2 (+ CP3 unless eps is GLOBAL) for one subset of indices."""
+    eps = _eps_rule(eps)
     points = _as_points(cloud)
     subset = np.asarray(sorted(int(i) for i in generators), dtype=np.int64)
     if len(set(subset)) != len(subset):
         raise ValueError("generator indices must be distinct")
-    e = None if eps is None or math.isinf(eps) else float(eps)
-    found, _, _, strict = _evaluate_batch(_frame(points), subset[None, :], e)
+    found, _, _, strict = _evaluate_batch(_frame(points, eps)[0], subset[None, :])
     return len(found) == 1 and bool(strict[0])
 
 
@@ -371,19 +388,16 @@ def is_generating(generators, cloud, eps=GLOBAL) -> bool:
 
 def enumerate_brute(cloud, eps=GLOBAL, k_max=None, cap=None):
     """Exhaustive oracle over all (k+1)-subsets, 1 <= k <= k_max."""
+    eps = _eps_rule(eps)
     points = _as_points(cloud)
     n, d = points.shape
     if n == 0:
         return _resolve_ties(points, None, [])
     k_max = d if k_max is None else min(k_max, d)
-    is_global = eps is None or math.isinf(eps)
-    limit = cap if cap is not None else (
-        BRUTE_CAP_GLOBAL if is_global else BRUTE_CAP_RESTRICTED
-    )
+    limit = cap if cap is not None else BRUTE_CAP_GLOBAL if eps is None else BRUTE_CAP_RESTRICTED
     if n > limit:
         raise OracleCapExceeded(f"n={n} exceeds brute-force cap {limit}")
-    e = None if is_global else float(eps)
-    frame = _frame(points)
+    frame = _frame(points, eps)[0]
     batches = []
     for k in range(1, k_max + 1):
         combos = itertools.combinations(range(n), k + 1)
@@ -391,7 +405,7 @@ def enumerate_brute(cloud, eps=GLOBAL, k_max=None, cap=None):
             chunk = np.array(list(itertools.islice(combos, 100_000)), dtype=np.int64)
             if chunk.size == 0:
                 break
-            batches.append(_evaluate_batch(frame, chunk, e))
+            batches.append(_evaluate_batch(frame, chunk))
     return _resolve_ties(points, frame, batches)
 
 
@@ -404,37 +418,27 @@ def enumerate_grid(cloud, eps, k_max=None):
     the choice is logged at DEBUG.  Large clouds are triangulated in
     tiles on a thread pool (``_slabs``), with the same result.
     """
+    eps = _eps_rule(eps)
     points = _as_points(cloud)
     if len(points) == 0:
         return _resolve_ties(points, None, [])
-    if eps is not None and math.isinf(eps):
-        eps = None
-    if eps is not None and eps <= 0:
-        raise ValueError("eps must be > 0")
     n, d = points.shape
     k_max = d if k_max is None else min(k_max, d)
-    frame = _, _, tree, scale = _frame(points)
-    if eps is None:
-        pairs, edges = None, n * (n - 1) // 2
-    else:
-        pairs = tree.query_pairs(2.0 * widen(eps, scale), output_type="ndarray")
-        edges = len(pairs)
+    frame, pairs = _frame(points, eps)
+    edges = n * (n - 1) // 2 if pairs is None else len(pairs)
     strategy = _pick_strategy(n, d, edges)
     log.debug("%s candidates: n = %d, %d edges in the 2 eps graph", strategy, n, edges)
     if strategy == "delaunay":
         del pairs  # only their count was needed
-        return _resolve_ties(points, frame, _delaunay_batches(frame, eps, k_max))
-    if pairs is None:
-        pairs = np.column_stack(np.triu_indices(n, 1)).astype(np.int64)
-    else:
-        pairs = _lexicographic(pairs, n)
+        return _resolve_ties(points, frame, _delaunay_batches(frame, k_max))
+    pairs = np.column_stack(np.triu_indices(n, 1)) if pairs is None else _lexicographic(pairs, n)
     subsets = [pairs]
     while len(subsets) < k_max and len(subsets[-1]):
         subsets.append(expand_cliques(subsets[-1], pairs, n)[0])
-    return _resolve_ties(points, frame, [_evaluate_batch(frame, arr, eps) for arr in subsets])
+    return _resolve_ties(points, frame, [_evaluate_batch(frame, arr) for arr in subsets])
 
 
-def _delaunay_batches(frame, eps, k_max) -> list:
+def _delaunay_batches(frame, k_max) -> list:
     """Evaluated Delaunay-face candidates, one batch per size, each in
     lexicographic order.
 
@@ -443,12 +447,12 @@ def _delaunay_batches(frame, eps, k_max) -> list:
     thread per CPU of the affinity mask at most), and the survivors of
     all tiles are pooled and deduplicated.
     """
-    tiles = _slabs(frame[0], eps, frame[3])
+    tiles = _slabs(frame)
     if len(tiles) == 1:
-        return [_evaluate_batch(frame, arr, eps) for arr in delaunay_subsets(frame[0], k_max).values()]
+        return [_evaluate_batch(frame, arr) for arr in delaunay_subsets(frame.local, k_max).values()]
     workers = min(len(tiles), len(os.sched_getaffinity(0)))
     with ThreadPoolExecutor(workers) as pool:
-        parts = list(pool.map(lambda tile: _tile_batches(frame, *tile, eps, k_max), tiles))
+        parts = list(pool.map(lambda tile: _tile_batches(frame, *tile, k_max), tiles))
     merged = []
     for batches in zip(*parts):
         subsets, centers, radii, strict = (np.concatenate(col) for col in zip(*batches))
@@ -460,7 +464,7 @@ def _delaunay_batches(frame, eps, k_max) -> list:
     return merged
 
 
-def _slabs(local, eps, scale) -> list:
+def _slabs(frame) -> list:
     """Tiles of a cloud as (members, core) pairs: sorted point indices and
     the mask of those in the tile's core.
 
@@ -473,16 +477,17 @@ def _slabs(local, eps, scale) -> list:
     cloud) otherwise, and where the padding would more than double the
     points triangulated.
     """
+    local = frame.local
     n = len(local)
     whole = [(np.arange(n), np.ones(n, dtype=bool))]
-    count = 0 if eps is None else n // TILE_POINTS
+    count = 0 if frame.eps is None else n // TILE_POINTS
     if count < 2:
         return whole
     axis = int(np.argmax(np.ptp(local, axis=0)))
     order = np.argsort(local[:, axis], kind="stable")
     x = local[order, axis]
     cuts = np.arange(count + 1) * n // count
-    pad = 2.0 * widen(eps, scale)
+    pad = 2.0 * widen(frame.eps, frame.scale)
     lo = np.searchsorted(x, x[cuts[:-1]] - pad, side="left")
     hi = np.searchsorted(x, x[cuts[1:] - 1] + pad, side="right")
     if np.sum(hi - lo) > 2 * n:
@@ -496,13 +501,13 @@ def _slabs(local, eps, scale) -> list:
     return tiles
 
 
-def _tile_batches(frame, members, core, eps, k_max) -> list:
+def _tile_batches(frame, members, core, k_max) -> list:
     """Evaluated candidates of one tile: its Delaunay faces with a vertex
     in its core, in the cloud's labels, one batch per size."""
     out = []
-    for faces in delaunay_subsets(frame[0][members], k_max).values():
+    for faces in delaunay_subsets(frame.local[members], k_max).values():
         faces = faces[np.any(core[faces], axis=1)]
-        out.append(_evaluate_batch(frame, members[faces], eps, workers=1))
+        out.append(_evaluate_batch(frame, members[faces], workers=1))
     return out
 
 
@@ -577,26 +582,20 @@ def count_index1(points: np.ndarray, eps: float) -> int:
     the whole check vectorizes: pairs at distance <= 2 eps whose
     midpoint has no cloud point strictly inside the diametral ball.
     """
-    if eps <= 0:
-        raise ValueError("eps must be > 0")
+    eps = _eps_rule(eps)
     points = np.asarray(points, dtype=float)
     if len(points) < 2:
         return 0
-    points, _, scale = local_frame(points)
-    tree = cKDTree(points)
-    pairs = tree.query_pairs(2.0 * widen(eps, scale), output_type="ndarray")
-    if len(pairs) == 0:
-        return 0
-    a = points[pairs[:, 0]]
-    b = points[pairs[:, 1]]
+    frame, pairs = _frame(points, eps)
+    if pairs is None:
+        pairs = np.column_stack(np.triu_indices(len(points), 1))
+    a, b = frame.local[pairs[:, 0]], frame.local[pairs[:, 1]]
     radii = 0.5 * np.linalg.norm(a - b, axis=1)
-    require_distinct(pairs, 2.0 * radii, scale)  # coincident pairs lie within 2 eps
-    keep = at_most(radii, eps, scale)
-    if not np.any(keep):
-        return 0
-    mids = 0.5 * (a[keep] + b[keep])
-    dmin, _ = tree.query(mids, k=1, workers=-1)
-    return int(np.sum(at_least(dmin, radii[keep], scale)))
+    if eps is not None:
+        keep = at_most(radii, eps, frame.scale)
+        a, b, radii = a[keep], b[keep], radii[keep]
+    dmin, _ = frame.tree.query(0.5 * (a + b), k=1, workers=-1)
+    return int(np.sum(at_least(dmin, radii, frame.scale)))
 
 
 def critical_values_by_index(points: np.ndarray, k_max: int | None = None) -> dict:

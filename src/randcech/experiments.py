@@ -36,6 +36,7 @@ from .enumeration import (
 )
 from .cech import ComplexTooLarge, build_cech, euler_characteristic
 from .pointproc import Density, make_density, sample_iid, sample_poisson, substream
+from .theory import RegimeSpec
 
 # largest cloud for which the cross-audit builds the full complex;
 # beyond this the simplex count at critical radii is prohibitive
@@ -80,13 +81,15 @@ class ExperimentConfig:
 
     def radius(self, n: int) -> float:
         if self.rule == "power":
-            return self.c * n ** (-self.beta)
+            return RegimeSpec(self.c, self.beta, self.d).radius(n)
         return (self.d_star * math.log(n) / n) ** (1.0 / self.d)
 
-    def is_supercritical(self) -> bool:
+    def phase(self) -> str:
+        """The regime of the power rule, as ``theory.RegimeSpec`` classifies
+        it; the log rule is supercritical."""
         if self.rule == "log":
-            return True
-        return self.beta < 1.0 / self.d
+            return "supercritical"
+        return RegimeSpec(self.c, self.beta, self.d).classification
 
     def validate(self) -> None:
         if self.mode not in tuple(MODES):
@@ -105,6 +108,14 @@ class ExperimentConfig:
             raise ConfigError(
                 f"n_schedule: need distinct positive integer sizes, got {self.n_schedule!r}"
             )
+        for n in self.n_schedule:
+            try:
+                r = self.radius(n)
+            except OverflowError:  # n beyond the range of floats
+                r = math.inf
+            if not 0 < r < math.inf:
+                raise ConfigError(f"n_schedule: the {self.rule} rule gives radius {r!r} "
+                                  f"at n = {n}; it must be finite and > 0")
         if not _ints((self.trials,), 1):
             raise ConfigError(f"trials: must be an integer > 0, got {self.trials!r}")
         if not _ints((self.seed,), 0, 2**64 - 1):
@@ -119,7 +130,7 @@ class ExperimentConfig:
             raise ConfigError(f"density: {exc.args[0]}") from None
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"density_params: {exc}") from None
-        if (self.is_supercritical() and not (f.lower_bounded and f.support_convex)
+        if (self.phase() == "supercritical" and not (f.lower_bounded and f.support_convex)
                 and not self.annulus_counterexample):
             raise ConfigError(
                 "density: supercritical runs need a lower-bounded density "
@@ -354,7 +365,7 @@ def euler_phase(config: ExperimentConfig, audit_trials: int = 3) -> dict:
                            config.d).alternating_sum()
         chis.setdefault(n, []).append(chi)
         if (i > 0 or t >= audit_trials or n > AUDIT_N_CAP
-                or config.is_supercritical()):
+                or config.phase() == "supercritical"):
             continue
         try:
             cx = build_cech(points, eps)

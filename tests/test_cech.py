@@ -9,6 +9,7 @@ import pytest
 from randcech import cech
 from randcech.cech import (
     BudgetExceeded,
+    CechComplex,
     ComplexTooLarge,
     TruncatedComplex,
     betti_numbers,
@@ -250,6 +251,22 @@ def test_dim_cap_without_truncation_is_clean():
     cx = build_cech(pts, 0.1, dim_cap=1)
     assert not cx.truncated
     assert euler_characteristic(cx) == 2
+
+
+def test_dim_cap_below_one_is_refused():
+    """A cap at dimension 0 kept the edges of the triangle and flagged
+    nothing when only two points were close; it is refused."""
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.8], [10.0, 10.0]])
+    for cap in (0, -1):
+        with pytest.raises(ValueError, match="dim_cap"):
+            build_cech(pts, 0.6, dim_cap=cap)
+
+
+def test_betti_reads_a_cap_of_zero_as_a_cap():
+    cx = CechComplex(dim=2, eps=0.6, n_vertices=2, truncated=True, dim_cap=0,
+                     simplices={0: np.arange(2)[:, None], 1: np.array([[0, 1]])})
+    with pytest.raises(TruncatedComplex):
+        betti_numbers(cx, max_dim=0)
 
 
 def test_complex_too_large():

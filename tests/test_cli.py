@@ -77,6 +77,17 @@ def test_cech_with_betti(cloud_csv, capsys):
     assert "betti numbers:" in text
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["enumerate", "--eps=nan"], "eps must be > 0"),
+    (["enumerate", "--eps=-inf"], "eps must be > 0"),
+    (["cech", "--eps=nan"], "eps must be > 0"),
+    (["cech", "--eps=0.15", "--max-dim=0"], "dim_cap"),
+], ids=["enumerate-nan", "enumerate-minus-inf", "cech-nan", "cech-max-dim-0"])
+def test_bad_radius_or_dimension_cap_is_config_error(cloud_csv, capsys, argv, message):
+    assert main([*argv, "--cloud", cloud_csv]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_cech_budget_exit_code(capsys):
     # 40 coincident-scale points at a huge radius blow the simplex budget
     code = main(["cech", "--density", "uniform_box", "--n", "40", "--d", "2",

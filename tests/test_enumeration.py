@@ -17,7 +17,6 @@ from randcech.enumeration import (
     CriticalPoint,
     GlobalCapExceeded,
     OracleCapExceeded,
-    close_pairs,
     count_index1,
     counts,
     critical_values_by_index,
@@ -183,6 +182,65 @@ def test_count_index1_refuses_coincident_points_and_nonpositive_eps():
     for eps in (0.0, -0.1):
         with pytest.raises(ValueError, match="eps must be > 0"):
             count_index1(pts[2:], eps)
+
+
+# One eps rule for every path: the global answer for None and inf (20
+# points, so the oracle's global cap admits them; 6 for the full complex)
+EPS_PATHS = {
+    "enumerate_brute": (lambda p, eps: list(counts(enumerate_brute(p[:20], eps), 20, eps, 2).by_index),
+                        [20, 35, 16]),
+    "enumerate_grid": (lambda p, eps: list(counts(enumerate_grid(p[:20], eps), 20, eps, 2).by_index),
+                       [20, 35, 16]),
+    "is_generating": (lambda p, eps: is_generating((0, 10, 15), p[:20], eps), True),
+    "count_index1": (lambda p, eps: count_index1(p[:20], eps), 35),
+    "build_cech": (lambda p, eps: list(build_cech(p[:6], eps).counts()), [6, 15, 20, 15, 6, 1]),
+}
+
+
+@pytest.mark.parametrize("path", list(EPS_PATHS))
+def test_one_eps_rule_for_every_path(path):
+    """eps = 0, -0.1 or NaN raises the same error on every path, before
+    the cloud is looked at; None and inf both give the global answer."""
+    call, global_answer = EPS_PATHS[path]
+    pts = sample_iid(uniform_box(2), 30, substream(600, 0)).points
+    for eps in (0.0, -0.1, math.nan):
+        for cloud in (pts, np.empty((0, 2))):
+            with pytest.raises(ValueError, match="eps must be > 0"):
+                call(cloud, eps)
+    assert call(pts, math.inf) == call(pts, None) == global_answer
+
+
+def test_each_path_makes_one_pair_query(monkeypatch, caplog):
+    """The frame's query is the only pair search of a call, on every
+    candidate source, globally too, and in tiled clouds."""
+    calls = []
+
+    class CountingTree(cKDTree):
+        def query_pairs(self, *args, **kwargs):
+            calls.append(self.n)
+            return super().query_pairs(*args, **kwargs)
+
+    monkeypatch.setattr(enumeration, "cKDTree", CountingTree)
+    caplog.set_level(logging.DEBUG, logger="randcech.enumeration")
+    pts = sample_iid(uniform_box(2), 200, substream(600, 1)).points
+    big = sample_iid(uniform_box(2), 2 * enumeration.TILE_POINTS, substream(600, 2)).points
+    paths = [  # (points in the cloud, call)
+        (200, lambda: enumerate_grid(pts, 0.03)),  # cliques
+        (200, lambda: enumerate_grid(pts, 0.15)),  # Delaunay faces
+        (8, lambda: enumerate_grid(pts[:8], GLOBAL)),  # cliques of all pairs
+        (len(big), lambda: enumerate_grid(big, len(big) ** -0.5)),  # Delaunay tiles
+        (60, lambda: enumerate_brute(pts[:60], 0.1)),
+        (20, lambda: enumerate_brute(pts[:20], GLOBAL)),
+        (200, lambda: is_generating((0, 1), pts, 0.1)),
+        (200, lambda: count_index1(pts, 0.1)),
+        (200, lambda: count_index1(pts, GLOBAL)),
+    ]
+    for n, call in paths:
+        calls.clear()
+        call()
+        assert calls == [n]
+    sources = [r.getMessage().split()[0] for r in caplog.records]
+    assert sources[:4] == ["grid", "delaunay", "grid", "delaunay"]
 
 
 def test_collinear_four_points_global_counts():
@@ -519,7 +577,8 @@ def test_expand_cliques_chunks_end_inside_sibling_groups(monkeypatch, chunk):
 
 def test_close_pairs_sorted_and_complete():
     cloud = sample_iid(uniform_box(2), 300, substream(111, 0))
-    pairs = close_pairs(cKDTree(cloud.points), 0.1)
+    tree = cKDTree(cloud.points)
+    pairs = enumeration._lexicographic(tree.query_pairs(0.1, output_type="ndarray"), tree.n)
     dist = np.linalg.norm(cloud.points[:, None] - cloud.points[None], axis=2)
     i, j = np.nonzero(np.triu(dist <= 0.1, k=1))
     assert np.array_equal(pairs, np.stack([i, j], axis=1))

@@ -73,7 +73,13 @@ def test_config_valid():
         (dict(density="nonsense"), "density"),
     ] + [(dict(mode=old), "mode") for old in (
         "mean_scaling", "variance_scaling", "poisson_limit", "clt",
-        "gamma_curve", "morse_euler_audit")],
+        "gamma_curve", "morse_euler_audit")] + [
+        # no radius r_n > 0: log n / n vanishes at n = 1, c n^-beta
+        # underflows to 0.0, and n = 10^400 has no float
+        (dict(rule="log", d_star=1.0, n_schedule=(1, 60)), "n_schedule"),
+        (dict(beta=2000.0), "n_schedule"),
+        (dict(n_schedule=(10**400,)), "n_schedule"),
+    ],
 )
 def test_config_errors_name_the_field(overrides, field):
     with pytest.raises(ConfigError, match=rf"^{re.escape(field)}\b"):
