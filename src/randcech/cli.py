@@ -124,8 +124,10 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_audit(args) -> int:
     """Morse/complex Euler-characteristic consistency sweep."""
-    if args.n < 5:
-        raise ValueError(f"--n must be >= 5, got {args.n}")
+    for flag, value, least in (("--clouds", args.clouds, 1), ("--n", args.n, 5),
+                               ("--radii", args.radii, 1)):
+        if value < least:
+            raise ValueError(f"{flag} must be >= {least}, got {value}")
     rng_master = args.seed
     cap = 500_000
     failures = total = skipped = 0

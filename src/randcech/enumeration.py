@@ -30,16 +30,19 @@ in tiles (``_slabs``): slabs of equal point counts along the widest
 axis, each padded by 2 eps on both sides.  The tiles run on a thread
 pool, at most one thread per CPU in the affinity mask.  Each tile keeps
 its faces with a vertex in its core and evaluates them against the whole
-cloud.  The survivors of all tiles are pooled and deduplicated, which
-gives exactly the result of one triangulation, also where tiles cut
-cospherical sets differently.  The tile count depends only on the input.
+cloud.  A face with every vertex in one core is found by that tile only;
+the survivors that cross a cut are pooled and deduplicated.  This gives
+exactly the result of one triangulation, also where tiles cut cospherical
+sets differently.  The tile count depends only on the input.
 
-Candidates stay arrays through the tie rule, and every path returns one
-``CriticalPoints`` result: index, generators (padded with -1), centers
-and values of the critical points of index >= 1, in (index, value,
-generators) order.  The n minima stay implicit (N_0 = n).  Counting and
-thresholding read the arrays; ``CriticalPoint`` objects are built only
-when a caller iterates the result.
+Candidates stay arrays through the tie rule, which does not depend on
+the order of its rows: it sorts them by value once, and puts each run
+of tied values in (value, size, generators) order before grouping it.
+Every path returns one ``CriticalPoints`` result: index, generators
+(padded with -1), centers and values of the critical points of index
+>= 1, in (index, value, generators) order.  The n minima stay implicit
+(N_0 = n).  Counting and thresholding read the arrays; ``CriticalPoint``
+objects are built only when a caller iterates the result.
 """
 
 from __future__ import annotations
@@ -209,7 +212,8 @@ def expand_cliques(level: np.ndarray, edges: np.ndarray, n: int,
 
 def delaunay_subsets(points: np.ndarray, k_max: int) -> dict:
     """Candidate (k+1)-subsets from the faces of the Delaunay complex,
-    sorted rows in lexicographic order.
+    each once as a sorted row: proper faces in lexicographic order, the
+    cells in Qhull's.
 
     Qhull sees the centred cloud scaled to unit size.  Proper faces are
     deduplicated by base-n integer keys, which fit in int64 while
@@ -228,7 +232,7 @@ def delaunay_subsets(points: np.ndarray, k_max: int) -> dict:
         if size > width:
             out[size] = np.empty((0, size), dtype=np.int64)
         elif size == width:
-            out[size] = cells[np.lexsort(cells.T[::-1])]
+            out[size] = cells
         else:
             faces = []
             for combo in itertools.combinations(range(width), size):
@@ -267,7 +271,10 @@ def _evaluate_batch(frame, subsets, workers=-1):
     if len(idx):
         # CP2: the nearest cloud point to the center must be no closer
         # than R (the generators themselves lie at distance exactly R).
-        dmin, _ = frame.tree.query(centers[idx], k=1, workers=workers)
+        # At finite eps only a point closer than R <= widen(eps) can
+        # reject, so the search stops there; finding none gives inf.
+        bound = math.inf if frame.eps is None else widen(frame.eps, frame.scale)
+        dmin, _ = frame.tree.query(centers[idx], k=1, workers=workers, distance_upper_bound=bound)
         idx = idx[at_least(dmin, radii[idx], frame.scale)]
     return subsets[idx], centers[idx], radii[idx], strict[idx]
 
@@ -276,15 +283,23 @@ def _resolve_ties(points: np.ndarray, frame, batches: list) -> CriticalPoints:
     """Collapse cospherical degeneracies into the critical points.
 
     ``batches`` are outputs of ``_evaluate_batch`` in the ``_frame`` of
-    ``points``; centers go back to the cloud's frame.  Two candidates tie
-    when their circumspheres agree.  A group of tied candidates emits a
-    single critical point iff some member passes the strict open-hull
-    test and, for several members, their center lies in the relative
-    interior of the hull of the union of their generators (not so the
-    hypotenuse midpoint of a right triangle, where an edge and a
-    triangle enter together); its index is the affine dimension of that
-    union.  Candidates are sorted by value once; only runs of near-equal
-    values are grouped, by ``sphere_groups``.
+    ``points``, in any order and with their rows in any order; centers go
+    back to the cloud's frame.  Two candidates tie when their
+    circumspheres agree.  A group of tied candidates emits a single
+    critical point iff some member passes the strict open-hull test and,
+    for several members, their center lies in the relative interior of
+    the hull of the union of their generators (not so the hypotenuse
+    midpoint of a right triangle, where an edge and a triangle enter
+    together); its index is the affine dimension of that union, its
+    center and value those of its strict member first in (size,
+    generators).
+
+    Candidates are sorted by value once.  Untied values are distinct, so
+    a stable partition by size puts the untied rows in (index, value)
+    order.  Only runs of near-equal values are grouped, by the greedy
+    ``sphere_groups``, each run first put in canonical (value, size,
+    generators) order; the few merged points are sorted among themselves
+    and inserted where their (index, value) falls.
     """
     batches = [b for b in batches if len(b[0])]
     if not batches:
@@ -292,35 +307,43 @@ def _resolve_ties(points: np.ndarray, frame, batches: list) -> CriticalPoints:
                               np.empty((0, 1), dtype=np.int64),
                               np.empty((0, points.shape[1])), np.empty(0))
     local = frame.local
-    # One row per candidate: its generators, padded with -1.
+    # One row per candidate: its generators, padded with -1, and its size.
     width = max(b[0].shape[1] for b in batches)
     gens = np.concatenate([np.pad(b[0], ((0, 0), (0, width - b[0].shape[1])),
                                   constant_values=-1) for b in batches])
+    size = np.repeat([b[0].shape[1] for b in batches], [len(b[0]) for b in batches])
     centers = np.concatenate([b[1] for b in batches])
     values = np.concatenate([b[2] for b in batches])
     strict = np.concatenate([b[3] for b in batches])
 
-    order = np.argsort(values, kind="stable")
+    order = np.argsort(values)
     v = values[order]
     near = at_least(v[:-1], v[1:], v[1:])
     tied = np.zeros(len(v), dtype=bool)
     tied[:-1] |= near
     tied[1:] |= near
-    rows = order[~tied & strict[order]]
-    index = np.count_nonzero(gens[rows] >= 0, axis=1) - 1
+    untied = order[~tied & strict[order]]
+    rows = np.concatenate([untied[size[untied] == s] for s in range(2, width + 1)])
     merged = []  # (index, generators, representative row) per tie group
+    # the tied rows, each run in (value, size, generators) order
     run_id = np.cumsum(np.concatenate([[True], ~near]))[tied]
-    for run in np.split(order[tied], np.nonzero(np.diff(run_id))[0] + 1):
-        for group in sphere_groups(centers[run], values[run]):
-            group = run[group].tolist()
-            strict_members = [i for i in group if strict[i]]
+    tie = order[tied]
+    canon = np.lexsort([*gens[tie].T[::-1], size[tie], values[tie], run_id])
+    tie, run_id = tie[canon], run_id[canon]
+    bounds = np.flatnonzero(np.diff(np.r_[0, run_id, 0]))
+    key, is_strict = list(zip(size[tie].tolist(), gens[tie].tolist())), strict[tie].tolist()
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        for group in sphere_groups(centers[tie[a:b]], values[tie[a:b]]):
+            group = [a + i for i in group]
+            strict_members = [i for i in group if is_strict[i]]
             if not strict_members:
                 continue
-            union = sorted(set(gens[group].ravel().tolist()) - {-1})
-            if len(group) > 1 and not in_relative_interior(centers[group[0]], local[union]):
+            union = sorted({g for i in group for g in key[i][1]} - {-1})
+            if len(group) > 1 and not in_relative_interior(centers[tie[group[0]]], local[union]):
                 continue
             k = len(union) - 1 if len(group) == 1 else affine_rank(local[union])
-            merged.append((k, union, min(strict_members)))
+            merged.append((k, union, tie[min(strict_members, key=key.__getitem__)]))
+    index = size[rows] - 1
     out_gens = gens[rows]
     if merged:
         wide = max(width, max(len(u) for _, u, _ in merged))
@@ -328,13 +351,20 @@ def _resolve_ties(points: np.ndarray, frame, batches: list) -> CriticalPoints:
         extra = np.full((len(merged), wide), -1, dtype=np.int64)
         for r, (_, union, _) in enumerate(merged):
             extra[r, :len(union)] = union
-        out_gens = np.concatenate([out_gens, extra])
-        index = np.concatenate([index, [k for k, _, _ in merged]])
-        rows = np.concatenate([rows, [rep for _, _, rep in merged]])
-    out_values = values[rows]
-    perm = np.lexsort([*out_gens.T[::-1], out_values, index])
-    return CriticalPoints(points, index[perm], out_gens[perm],
-                          centers[rows[perm]] + frame.origin, out_values[perm])
+        extra_index = np.array([k for k, _, _ in merged], dtype=np.int64)
+        extra_rows = np.array([rep for _, _, rep in merged], dtype=np.int64)
+        perm = np.lexsort([*extra.T[::-1], values[extra_rows], extra_index])
+        extra, extra_index, extra_rows = extra[perm], extra_index[perm], extra_rows[perm]
+        # each goes after the untied rows of lower index, or of its index and a lower value
+        at = np.empty(len(extra), dtype=np.int64)
+        for k in np.unique(extra_index):
+            lo, hi = np.searchsorted(index, [k, k + 1])
+            mine = extra_index == k
+            at[mine] = lo + np.searchsorted(values[rows[lo:hi]], values[extra_rows[mine]])
+        out_gens = np.insert(out_gens, at, extra, axis=0)
+        index = np.insert(index, at, extra_index)
+        rows = np.insert(rows, at, extra_rows)
+    return CriticalPoints(points, index, out_gens, centers[rows] + frame.origin, values[rows])
 
 
 def _as_points(cloud) -> np.ndarray:
@@ -439,13 +469,14 @@ def enumerate_grid(cloud, eps, k_max=None):
 
 
 def _delaunay_batches(frame, k_max) -> list:
-    """Evaluated Delaunay-face candidates, one batch per size, each in
-    lexicographic order.
+    """Evaluated Delaunay-face candidates, in batches by size.
 
     With more than one ``_slabs`` tile, each tile's faces with a vertex in
     its core are evaluated against the whole cloud on a thread pool (one
-    thread per CPU of the affinity mask at most), and the survivors of
-    all tiles are pooled and deduplicated.
+    thread per CPU of the affinity mask at most).  A face with every
+    vertex in one tile's core appears in no other tile, so those batches
+    are kept as they are; only the faces that cross a cut are pooled and
+    deduplicated.
     """
     tiles = _slabs(frame)
     if len(tiles) == 1:
@@ -453,15 +484,17 @@ def _delaunay_batches(frame, k_max) -> list:
     workers = min(len(tiles), len(os.sched_getaffinity(0)))
     with ThreadPoolExecutor(workers) as pool:
         parts = list(pool.map(lambda tile: _tile_batches(frame, *tile, k_max), tiles))
-    merged = []
-    for batches in zip(*parts):
-        subsets, centers, radii, strict = (np.concatenate(col) for col in zip(*batches))
+    batches = []
+    for by_tile in zip(*parts):
+        inner, crossing = zip(*by_tile)
+        batches.extend(inner)
+        subsets, centers, radii, strict = (np.concatenate(col) for col in zip(*crossing))
         order = np.lexsort(subsets.T[::-1])
         first = np.ones(len(order), dtype=bool)
         first[1:] = np.any(np.diff(subsets[order], axis=0) != 0, axis=1)
         keep = order[first]
-        merged.append((subsets[keep], centers[keep], radii[keep], strict[keep]))
-    return merged
+        batches.append((subsets[keep], centers[keep], radii[keep], strict[keep]))
+    return batches
 
 
 def _slabs(frame) -> list:
@@ -502,12 +535,16 @@ def _slabs(frame) -> list:
 
 
 def _tile_batches(frame, members, core, k_max) -> list:
-    """Evaluated candidates of one tile: its Delaunay faces with a vertex
-    in its core, in the cloud's labels, one batch per size."""
+    """Evaluated candidates of one tile, in the cloud's labels: per size,
+    a batch of its Delaunay faces with every vertex in its core and a
+    batch of those with some but not every vertex in it."""
     out = []
     for faces in delaunay_subsets(frame.local[members], k_max).values():
-        faces = faces[np.any(core[faces], axis=1)]
-        out.append(_evaluate_batch(frame, members[faces], workers=1))
+        in_core = core[faces]
+        inner = np.all(in_core, axis=1)
+        crossing = np.any(in_core, axis=1) & ~inner
+        out.append([_evaluate_batch(frame, members[faces[mask]], workers=1)
+                    for mask in (inner, crossing)])
     return out
 
 
@@ -594,7 +631,8 @@ def count_index1(points: np.ndarray, eps: float) -> int:
     if eps is not None:
         keep = at_most(radii, eps, frame.scale)
         a, b, radii = a[keep], b[keep], radii[keep]
-    dmin, _ = frame.tree.query(0.5 * (a + b), k=1, workers=-1)
+    bound = math.inf if eps is None else widen(eps, frame.scale)
+    dmin, _ = frame.tree.query(0.5 * (a + b), k=1, workers=-1, distance_upper_bound=bound)
     return int(np.sum(at_least(dmin, radii, frame.scale)))
 
 

@@ -205,3 +205,10 @@ def test_dimension_below_one_is_config_error(capsys):
 def test_audit_needs_five_points(capsys):
     assert main(["audit", "--n", "3"]) == 2
     assert "config error: --n must be >= 5, got 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("--clouds", "0"), ("--clouds", "-1"), ("--radii", "0")])
+def test_audit_refuses_an_empty_sweep(flag, value, capsys):
+    """An audit of no cloud or no radius would check nothing and pass."""
+    assert main(["audit", flag, value]) == 2
+    assert f"config error: {flag} must be >= 1, got {value}" in capsys.readouterr().err

@@ -140,6 +140,24 @@ def test_tie_rule_needs_center_in_relative_interior(points, expected):
         assert cc.alternating_sum() == 1
 
 
+def test_merged_point_takes_its_first_strict_member():
+    """The oracle's center maximum of a regular hexagon merges its three
+    diameters and the triangles whose closed hull holds the center; the
+    diameters and some triangles hold it strictly, and their computed
+    centers and values differ in the last bits.  The point takes the
+    center and value of the first strict member in (size, generators),
+    the diameter (0, 3), not of the one of least value."""
+    t = 2 * np.pi * np.arange(6) / 6
+    pts = np.stack([np.cos(t), np.sin(t)], axis=1)
+    frame = enumeration._frame(pts, GLOBAL)[0]
+    _, center, value, strict = enumeration._evaluate_batch(frame, np.array([[0, 3]]))
+    result = enumerate_brute(pts)
+    top = result.index == 2
+    assert strict[0] and result.generators[top].tolist() == [[0, 1, 2, 3, 4, 5]]
+    assert result.centers[top].tobytes() == (center + frame.origin).tobytes()
+    assert result.values[top].tobytes() == value.tobytes()
+
+
 def test_counts_and_morse_euler_identity_are_similarity_invariant():
     """Scaling, translating, rotating or relabelling a cloud (with eps
     scaled alike) keeps the counts, also those of the index-1 fast path,
@@ -442,6 +460,78 @@ def test_wide_padding_keeps_one_triangulation(monkeypatch):
     enumerate_grid(pts, 0.05)
     enumerate_grid(pts, 0.2)
     assert seen == [4, 1]
+
+
+@pytest.mark.parametrize("case", ["lattice", "rings-5", "rings-8", "rings-12", "random"])
+def test_tie_resolution_does_not_depend_on_row_order(case, monkeypatch):
+    """Shuffling the candidate rows within each batch, and the batches,
+    before the tie rule leaves the result byte for byte as it was: on a
+    tiled lattice, on cospherical rings (globally; the oracle's groups
+    hold strict members whose centers differ in the last bits) and on a
+    random cloud."""
+    if case == "lattice":
+        lattice = np.stack(np.meshgrid(np.arange(12.0), np.arange(12.0), indexing="ij"),
+                           axis=-1).reshape(-1, 2)
+        pts = lattice[substream(122, 1).permutation(144)]
+        monkeypatch.setattr(enumeration, "TILE_POINTS", 40)
+        runs = [lambda: enumerate_grid(pts, 1.1)]
+    elif case == "random":
+        pts = sample_iid(uniform_box(2), 500, substream(124, 0)).points
+        runs = [lambda: enumerate_grid(pts, 500 ** -0.5)]
+    else:
+        pts = _rings(int(case.split("-")[1]))
+        runs = [lambda: enumerate_global(pts), lambda: enumerate_brute(pts)]
+    plain = [run() for run in runs]
+    resolve, rng = enumeration._resolve_ties, substream(124, 1)
+
+    def shuffled(points, frame, batches):
+        batches = [tuple(col[perm] for col in b)
+                   for b in batches for perm in [rng.permutation(len(b[0]))]]
+        return resolve(points, frame, [batches[i] for i in rng.permutation(len(batches))])
+
+    monkeypatch.setattr(enumeration, "_resolve_ties", shuffled)
+    for run, result in zip(runs, plain):
+        assert result.index.size
+        for _ in range(3):
+            assert _same(run(), result)
+
+
+def test_tiles_sort_no_whole_candidate_set(monkeypatch):
+    """Tiles are merged by deduplicating only the faces that cross a cut,
+    and the result is ordered from its one value sort: no lexsort sees
+    more than a tenth of the candidate rows."""
+    sorted_rows, candidates = [], []
+    lexsort, resolve = np.lexsort, enumeration._resolve_ties
+
+    def lexsort_spy(keys, *args, **kwargs):
+        order = lexsort(keys, *args, **kwargs)
+        sorted_rows.append(len(order))
+        return order
+
+    def resolve_spy(points, frame, batches):
+        candidates.append(sum(len(b[0]) for b in batches))
+        return resolve(points, frame, batches)
+
+    monkeypatch.setattr(np, "lexsort", lexsort_spy)
+    monkeypatch.setattr(enumeration, "_resolve_ties", resolve_spy)
+    seen = _tile_counts(monkeypatch)
+    monkeypatch.setattr(enumeration, "TILE_POINTS", 500)
+    pts = sample_iid(uniform_box(2), 2000, substream(121, 0)).points
+    enumerate_grid(pts, 2000 ** -0.5)
+    assert seen == [4] and sorted_rows
+    assert max(sorted_rows) <= 0.1 * candidates[0]
+
+
+@pytest.mark.parametrize("height, expected", [(1 - 1e-6, [3, 2, 0]), (1 + 1e-6, [3, 3, 1])],
+                         ids=["inside", "outside"])
+def test_cp2_is_exact_at_the_query_bound(height, expected):
+    """An edge of half-length exactly eps, with an interloper just inside
+    or just outside its diametral ball: the CP2 query bounded by eps finds
+    the one and not the other, on every path."""
+    pts = np.array([(0.0, 0.0), (2.0, 0.0), (1.0, height)])
+    for result in (enumerate_grid(pts, 1.0), enumerate_brute(pts, 1.0)):
+        assert list(counts(result, 3, 1.0, 2).by_index) == expected
+    assert count_index1(pts, 1.0) == expected[1]
 
 
 def test_one_dimensional_cloud():
