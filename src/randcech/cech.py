@@ -90,7 +90,7 @@ def build_cech(cloud, eps: float, dim_cap: int | None = None,
     if n < 2:
         return cx
     points, _, scale = local_frame(points)
-    tree = cKDTree(points)
+    tree = cKDTree(points, balanced_tree=False)
     pairs = _lexicographic(tree.query_pairs(2.0 * widen(eps, scale), output_type="ndarray"), n)
     # edge certificate: miniball radius = half the edge length
     radii = 0.5 * np.linalg.norm(points[pairs[:, 0]] - points[pairs[:, 1]], axis=1)

@@ -23,12 +23,21 @@ only affects speed, never the counts.  Both paths, ``is_generating``
 and ``count_index1`` read eps by one rule (``_eps_rule``: None or inf
 is global, NaN or eps <= 0 raises) and work in one ``_frame``: the
 centred cloud, its k-d tree and scale, and the call's one pair query,
-at radius 2 eps, whose pairs also show coincident points.
+at radius 2 eps, whose pairs also show coincident points.  The tree,
+like those of ``cech`` and ``sphere_groups``, splits at sliding
+midpoints (``balanced_tree=False``), which builds in about two thirds
+of the time of median splits and answers the same exact queries; every
+caller sorts or counts the pairs it returns.  Every CP2 check, of the
+paths and of ``count_index1``, is one nearest-point query of that tree
+(``_empty_balls``), on one thread per
+``ROWS_PER_THREAD`` rows, at least one and at most one per CPU of the
+affinity mask: a thread costs more to start than a short query takes.
 
 At finite eps a cloud of n >= 2 ``TILE_POINTS`` points is triangulated
 in tiles (``_slabs``): slabs of equal point counts along the widest
 axis, each padded by 2 eps on both sides.  The tiles run on a thread
-pool, at most one thread per CPU in the affinity mask.  Each tile keeps
+pool, at most one thread per CPU in the affinity mask, and each tile's
+CP2 queries run on its own thread.  Each tile keeps
 its faces with a vertex in its core and evaluates them against the whole
 cloud.  A face with every vertex in one core is found by that tile only;
 the survivors that cross a cut are pooled and deduplicated.  This gives
@@ -71,6 +80,7 @@ BRUTE_CAP_GLOBAL = 25
 GLOBAL_CAP = 200_000
 CLIQUE_CHUNK = 1 << 18  # candidate rows built at a time by expand_cliques
 TILE_POINTS = 6_000  # points per core of a Delaunay tile
+ROWS_PER_THREAD = 1_024  # CP2 query rows per thread it starts
 
 
 class OracleCapExceeded(ValueError):
@@ -252,14 +262,14 @@ def delaunay_subsets(points: np.ndarray, k_max: int) -> dict:
 # candidate evaluation
 
 
-def _evaluate_batch(frame, subsets, workers=-1):
+def _evaluate_batch(frame, subsets, workers=None):
     """Apply CP1-CP3 (CP3 at the frame's eps) to (m, k+1) candidate subsets.
 
     Returns the passing candidates (CP2, CP3 and at least the relaxed
     hull test) as arrays ``(subsets, centers, radii, strict)``;
     ``strict`` marks genuine CP1 passes, relaxed-only passes are
     retained for the cospherical tie rule.  ``workers`` threads run the
-    CP2 query (-1: one per CPU).
+    CP2 query (None: as ``_empty_balls`` picks by row count).
     """
     subsets = np.asarray(subsets, dtype=np.int64)
     centers, radii, bary, ok = circumspheres_batch(frame.local[subsets])
@@ -269,14 +279,27 @@ def _evaluate_batch(frame, subsets, workers=-1):
         mask = mask & at_most(radii, frame.eps, frame.scale)
     idx = np.nonzero(mask)[0]
     if len(idx):
-        # CP2: the nearest cloud point to the center must be no closer
-        # than R (the generators themselves lie at distance exactly R).
-        # At finite eps only a point closer than R <= widen(eps) can
-        # reject, so the search stops there; finding none gives inf.
-        bound = math.inf if frame.eps is None else widen(frame.eps, frame.scale)
-        dmin, _ = frame.tree.query(centers[idx], k=1, workers=workers, distance_upper_bound=bound)
-        idx = idx[at_least(dmin, radii[idx], frame.scale)]
+        idx = idx[_empty_balls(frame, centers[idx], radii[idx], workers)]
     return subsets[idx], centers[idx], radii[idx], strict[idx]
+
+
+def _empty_balls(frame, centers, radii, workers=None) -> np.ndarray:
+    """CP2: the mask of the balls (in the frame) with no cloud point
+    strictly inside, from one nearest-point query of the frame's tree.
+
+    The generators lie at distance exactly R, so the nearest point must
+    be no closer than R.  At finite eps only a point closer than
+    R <= widen(eps) can reject, so the search stops there; finding none
+    gives inf, which passes.  The query runs on ``workers`` threads; by
+    default one per ``ROWS_PER_THREAD`` rows, at least one and at most
+    one per CPU of the affinity mask, since starting a thread costs more
+    than a short query saves.
+    """
+    if workers is None:
+        workers = min(len(os.sched_getaffinity(0)), max(1, len(centers) // ROWS_PER_THREAD))
+    bound = math.inf if frame.eps is None else widen(frame.eps, frame.scale)
+    dmin, _ = frame.tree.query(centers, k=1, workers=workers, distance_upper_bound=bound)
+    return at_least(dmin, radii, frame.scale)
 
 
 def _resolve_ties(points: np.ndarray, frame, batches: list) -> CriticalPoints:
@@ -393,7 +416,7 @@ def _frame(points, eps):
     pairs within 2 eps (widened; None when global) from the call's one
     pair query.  Coincident points raise."""
     local, origin, scale = local_frame(points)
-    tree = cKDTree(local)
+    tree = cKDTree(local, balanced_tree=False)
     pairs = tree.query_pairs(2.0 * widen(eps or 0.0, scale), output_type="ndarray")
     # a pair within the slack is, rounding aside, that close in every coordinate
     near = pairs[at_most(np.abs(local[pairs[:, 0], 0] - local[pairs[:, 1], 0]), 0.0, 2 * scale)]
@@ -612,7 +635,7 @@ def verify_critical_point(cloud, cp: CriticalPoint, tol: float = 1e-6) -> bool:
 # fast counting paths for experiments
 
 
-def count_index1(points: np.ndarray, eps: float) -> int:
+def count_index1(cloud, eps: float) -> int:
     """Number of index-1 critical points with value <= eps.
 
     For k = 1 the circumcenter is the midpoint (CP1 always holds), so
@@ -620,7 +643,7 @@ def count_index1(points: np.ndarray, eps: float) -> int:
     midpoint has no cloud point strictly inside the diametral ball.
     """
     eps = _eps_rule(eps)
-    points = np.asarray(points, dtype=float)
+    points = _as_points(cloud)
     if len(points) < 2:
         return 0
     frame, pairs = _frame(points, eps)
@@ -631,9 +654,7 @@ def count_index1(points: np.ndarray, eps: float) -> int:
     if eps is not None:
         keep = at_most(radii, eps, frame.scale)
         a, b, radii = a[keep], b[keep], radii[keep]
-    bound = math.inf if eps is None else widen(eps, frame.scale)
-    dmin, _ = frame.tree.query(0.5 * (a + b), k=1, workers=-1, distance_upper_bound=bound)
-    return int(np.sum(at_least(dmin, radii, frame.scale)))
+    return int(np.sum(_empty_balls(frame, 0.5 * (a + b), radii)))
 
 
 def critical_values_by_index(points: np.ndarray, k_max: int | None = None) -> dict:

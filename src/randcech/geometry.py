@@ -99,7 +99,8 @@ def sphere_groups(centers, radii) -> list:
     """
     reach = 2.0 * TAU_GEOM * float(np.max(radii, initial=0.0))
     earlier = [[] for _ in radii]
-    for i, j in cKDTree(centers).query_pairs(reach, output_type="ndarray").tolist():
+    tree = cKDTree(centers, balanced_tree=False)
+    for i, j in tree.query_pairs(reach, output_type="ndarray").tolist():
         earlier[max(i, j)].append(min(i, j))
     groups, led = [], {}  # led: first member -> its group
     for i, near in enumerate(earlier):
@@ -128,11 +129,12 @@ def local_frame(points):
 
 def require_distinct(pairs, lengths, scale) -> None:
     """Raise ``DegenerateConfiguration`` if two points coincide within
-    TAU_GEOM * scale.  ``pairs`` must hold every pair that close, and
-    ``lengths`` their distances."""
-    close = pairs[at_most(lengths, 0.0, scale)]
-    if len(close):
-        i, j = sorted(close[0].tolist())
+    TAU_GEOM * scale.  ``pairs`` must hold every pair that close, in any
+    order, and ``lengths`` their distances.  The error names the close
+    pair first in label order."""
+    close = pairs[at_most(lengths, 0.0, scale)].tolist()
+    if close:
+        i, j = min(sorted(pair) for pair in close)
         raise DegenerateConfiguration(f"points {i} and {j} coincide (relative cutoff {TAU_GEOM:g})")
 
 

@@ -202,6 +202,21 @@ def test_count_index1_refuses_coincident_points_and_nonpositive_eps():
             count_index1(pts[2:], eps)
 
 
+def test_coincident_error_names_the_lowest_pair():
+    """With two coincident pairs, the error names the pair first in label
+    order, whatever the labels and whichever path meets it."""
+    base = sample_iid(uniform_box(2), 40, substream(126, 0)).points
+    base[7], base[31] = base[3], base[22]
+    for t in range(6):
+        perm = substream(126, 1 + t).permutation(40)
+        pts = base[perm]
+        label = np.argsort(perm)  # the new label of each old point
+        i, j = min(sorted(label[list(pair)].tolist()) for pair in [(3, 7), (22, 31)])
+        for call in (lambda: enumerate_grid(pts, 0.1), lambda: count_index1(pts, GLOBAL)):
+            with pytest.raises(DegenerateConfiguration, match=f"points {i} and {j} coincide"):
+                call()
+
+
 # One eps rule for every path: the global answer for None and inf (20
 # points, so the oracle's global cap admits them; 6 for the full complex)
 EPS_PATHS = {
@@ -576,12 +591,101 @@ def test_radius_at_diameter_equals_global():
 
 
 def test_count_index1_fast_path():
+    """N_1 of enumeration, from a PointCloud or its points."""
     for trial in range(10):
         rng = substream(105, trial)
         cloud = sample_iid(uniform_box(2), 200, rng)
         eps = float(rng.uniform(0.02, 0.1))
         full = sum(1 for cp in enumerate_grid(cloud, eps) if cp.index == 1)
-        assert count_index1(cloud.points, eps) == full
+        assert count_index1(cloud, eps) == count_index1(cloud.points, eps) == full
+
+
+def test_tree_layout_changes_no_output(monkeypatch):
+    """Sliding-midpoint and median-split trees give byte-identical
+    enumerations, counts and Cech levels: on a random cloud at three
+    radii (tiled at one), in d = 3, on a relabelled lattice and on the
+    8-gon rings."""
+    from randcech import cech, geometry
+
+    class Balanced(cKDTree):  # median splits, the scipy default
+        def __init__(self, data, **kwargs):
+            super().__init__(data, **{**kwargs, "balanced_tree": True})
+
+    n = 2000
+    r = n ** -0.5
+    pts = sample_iid(uniform_box(2), n, substream(127, 0)).points
+    pts3 = sample_iid(uniform_box(3), 400, substream(127, 1)).points
+    lattice = np.stack(np.meshgrid(np.arange(12.0), np.arange(12.0), indexing="ij"),
+                       axis=-1).reshape(-1, 2)[substream(127, 2).permutation(144)]
+    rings = _rings(8)
+
+    def tiled(eps):
+        with monkeypatch.context() as m:
+            m.setattr(enumeration, "TILE_POINTS", 500)
+            return enumerate_grid(pts, eps)
+
+    cases = [  # (cloud, enumeration, eps of count_index1, eps of build_cech)
+        (pts, lambda: enumerate_grid(pts, 0.3 * r), 0.3 * r, 0.3 * r),
+        (pts, lambda: enumerate_grid(pts, 1.5 * r), 1.5 * r, 0.5 * r),
+        (pts, lambda: tiled(r), r, 0.7 * r),
+        (pts3, lambda: enumerate_grid(pts3, 0.12), 0.12, 0.08),
+        (lattice, lambda: enumerate_grid(lattice, 1.1), 1.1, 0.75),
+        (rings, lambda: enumerate_global(rings), GLOBAL, 1.5),
+    ]
+
+    def outputs():
+        out = []
+        for cloud, enum, eps, cech_eps in cases:
+            cps, cx = enum(), build_cech(cloud, cech_eps)
+            out.append([*_fields(cps), np.array(count_index1(cloud, eps)),
+                        *(cx.simplices[j] for j in sorted(cx.simplices))])
+        return out
+
+    sliding = outputs()
+    for module in (enumeration, cech, geometry):
+        monkeypatch.setattr(module, "cKDTree", Balanced)
+    for got, want in zip(outputs(), sliding):
+        assert len(got) == len(want)
+        assert all(x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+                   for x, y in zip(got, want))
+
+
+def test_cp2_threads_follow_rows(monkeypatch):
+    """A CP2 query of m rows runs on min(CPUs, max(1, m // ROWS_PER_THREAD))
+    threads: one for a sparse count, one per query on the tile threads, and
+    two for a batch of two to three times ROWS_PER_THREAD rows."""
+    import os
+
+    queries = []  # (rows, workers) per query
+
+    class Spy(cKDTree):
+        def query(self, x, *args, **kwargs):
+            queries.append((len(x), kwargs.get("workers", 1)))
+            return super().query(x, *args, **kwargs)
+
+    monkeypatch.setattr(enumeration, "cKDTree", Spy)
+    cpus, per = len(os.sched_getaffinity(0)), enumeration.ROWS_PER_THREAD
+
+    n = 10_000
+    count_index1(sample_iid(uniform_box(2), n, substream(128, 0)), 1 / n)
+    assert queries and all(w == 1 for _, w in queries)
+
+    queries.clear()
+    big = sample_iid(uniform_box(2), 2 * enumeration.TILE_POINTS, substream(128, 1))
+    enumerate_grid(big, len(big.points) ** -0.5)
+    assert max(m for m, _ in queries) >= 2 * per
+    assert all(w == 1 for _, w in queries)
+
+    m = next(m for m in itertools.count(2) if m * (m - 1) // 2 >= 2 * per)
+    assert m * (m - 1) // 2 < 3 * per
+    queries.clear()
+    count_index1(sample_iid(uniform_box(2), m, substream(128, 2)), GLOBAL)
+    assert queries == [(m * (m - 1) // 2, min(2, cpus))]
+
+    queries.clear()
+    enumerate_grid(sample_iid(uniform_box(2), 3000, substream(128, 3)), 3000 ** -0.5)
+    assert max(m for m, _ in queries) >= 2 * per
+    assert all(w == min(cpus, max(1, m // per)) for m, w in queries)
 
 
 # ----------------------------------------------------- shared clique expander
