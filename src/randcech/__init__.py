@@ -9,10 +9,7 @@ compare empirical counts against those limits.
 
 from .geometry import (
     Ball,
-    CircumSphere,
     DegenerateConfiguration,
-    circumsphere,
-    in_open_convex_hull,
     min_enclosing_ball,
     unit_ball_volume,
 )

@@ -194,11 +194,6 @@ def euler_characteristic(cx: CechComplex) -> int:
     return int(np.sum((-1) ** np.arange(len(c)) * c))
 
 
-def euler_from_critical(critical_counts) -> int:
-    """Euler characteristic by Morse counting: n - N_1 + N_2 - ..."""
-    return critical_counts.alternating_sum()
-
-
 # ---------------------------------------------------------------------------
 # homology over GF(2)
 

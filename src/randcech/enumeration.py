@@ -425,12 +425,16 @@ def _frame(points, eps):
 
 
 def is_generating(generators, cloud, eps=GLOBAL) -> bool:
-    """CP1 + CP2 (+ CP3 unless eps is GLOBAL) for one subset of indices."""
+    """CP1 + CP2 (+ CP3 unless eps is GLOBAL) for one subset of distinct
+    indices in 0..n-1; any other index raises ``ValueError``."""
     eps = _eps_rule(eps)
     points = _as_points(cloud)
     subset = np.asarray(sorted(int(i) for i in generators), dtype=np.int64)
     if len(set(subset)) != len(subset):
         raise ValueError("generator indices must be distinct")
+    for i in subset.tolist():
+        if not 0 <= i < len(points):
+            raise ValueError(f"generator index {i} is out of range for {len(points)} points")
     found, _, _, strict = _evaluate_batch(_frame(points, eps)[0], subset[None, :])
     return len(found) == 1 and bool(strict[0])
 
@@ -463,8 +467,9 @@ def enumerate_brute(cloud, eps=GLOBAL, k_max=None, cap=None):
 
 
 def enumerate_grid(cloud, eps, k_max=None):
-    """Critical points with value <= eps (all of them for eps None or
-    inf), identical in output to the oracle.
+    """Critical points of index 1..k_max (d when None; none when k_max
+    < 1) with value <= eps (all of them for eps None or inf), identical
+    in output to the oracle.
 
     Candidates are Delaunay faces when 2 <= d <= 3 and the 2 eps graph
     has more than 2^d n edges (n(n-1)/2 when global), else its cliques;
@@ -478,6 +483,8 @@ def enumerate_grid(cloud, eps, k_max=None):
     n, d = points.shape
     k_max = d if k_max is None else min(k_max, d)
     frame, pairs = _frame(points, eps)
+    if k_max < 1:
+        return _resolve_ties(points, frame, [])
     edges = n * (n - 1) // 2 if pairs is None else len(pairs)
     strategy = _pick_strategy(n, d, edges)
     log.debug("%s candidates: n = %d, %d edges in the 2 eps graph", strategy, n, edges)

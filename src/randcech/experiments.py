@@ -101,7 +101,8 @@ class ExperimentConfig:
         if self.rule not in ("power", "log"):
             raise ConfigError(f"rule: {self.rule!r} not in ('power', 'log')")
         if self.rule == "power" and not _positive(self.c, self.beta):
-            raise ConfigError(f"rule.c/rule.beta: need c > 0 and beta > 0")
+            raise ConfigError(f"rule.c/rule.beta: need finite c > 0 and beta > 0, "
+                              f"got c = {self.c!r}, beta = {self.beta!r}")
         if self.rule == "log" and not _positive(self.d_star):
             raise ConfigError("d_star: the log radius rule needs d_star > 0")
         if not _ints(self.n_schedule, 1) or len(set(self.n_schedule)) < len(self.n_schedule):

@@ -13,8 +13,9 @@ cloud's scale from ``local_frame``, in which callers evaluate every
 predicate, and singular values, ties and ball containment to the tuple.
 So the answers do not change when a cloud is scaled or translated.
 
-Every circumsphere, barycentric test and miniball goes through one
-affine solve, ``_affine_solve``, over a stack of m tuples of k+1 points.
+Every circumsphere and miniball goes through one affine solve,
+``_affine_solve``, whose one job is the circumcenters of a stack of m
+tuples of k+1 points, in barycentric coordinates.
 It builds the k x k Gram matrices of the offsets with one ``np.einsum``
 and factors them all at once in ``_gram_solve``: an LDL^T factorisation
 unrolled over the k columns, each step one NumPy operation over the m
@@ -45,13 +46,6 @@ class DegenerateConfiguration(ValueError):
 class Ball:
     center: np.ndarray
     radius: float
-
-
-@dataclass(frozen=True)
-class CircumSphere:
-    center: np.ndarray
-    radius: float
-    affine_dim: int
 
 
 def unit_ball_volume(d: int) -> float:
@@ -150,25 +144,10 @@ def affine_rank(points: np.ndarray) -> int:
     return int(np.sum(s > TAU_GEOM * s[0]))
 
 
-def general_position(points) -> bool:
-    """True iff k+1 points do not lie in a (k-1)-dimensional affine space.
-
-    Degenerate input (repeats, collinear triples, ...) returns False and
-    never raises.
-    """
-    points = np.asarray(points, dtype=float)
-    k = len(points) - 1
-    if k < 1 or not np.all(np.isfinite(points)):
-        return False
-    return affine_rank(points) == k
-
-
-def _offsets(stacks, targets):
-    """Offsets v_i = p_i - p_0 and the Gram right-hand side: |v_i|^2 / 2, or v_i . (t - p_0)."""
+def _offsets(stacks):
+    """Offsets v_i = p_i - p_0 and the Gram right-hand side |v_i|^2 / 2."""
     v = stacks[:, 1:] - stacks[:, :1]
-    if targets is None:
-        return v, 0.5 * np.einsum("mij,mij->mi", v, v)
-    return v, np.einsum("mij,mj->mi", v, targets - stacks[:, 0])
+    return v, 0.5 * np.einsum("mij,mij->mi", v, v)
 
 
 def _gram_solve(gram, rhs):
@@ -207,11 +186,10 @@ def _gram_solve(gram, rhs):
     return w, ok & (det > TAU_GEOM * tr**k)
 
 
-def _affine_solve(stacks, targets=None):
-    """Barycentric coordinates (m, k+1) of each tuple's circumcenter, or of
-    ``targets`` (m, d) in its affine hull, ``ok`` (m,): the offsets'
-    smallest singular value exceeds TAU_GEOM times the largest, and the
-    offsets v_i = p_i - p_0 (m, k, d).
+def _affine_solve(stacks):
+    """Barycentric coordinates (m, k+1) of each tuple's circumcenter,
+    ``ok`` (m,): the offsets' smallest singular value exceeds TAU_GEOM
+    times the largest, and the offsets v_i = p_i - p_0 (m, k, d).
 
     The Gram matrices G = v v^T come from one ``np.einsum``, and
     ``_gram_solve`` solves G w = rhs for all rows at once.  Rows with
@@ -222,7 +200,7 @@ def _affine_solve(stacks, targets=None):
     longest edge): a frame at an end of that edge rounds away |v_i|^2's thin part.
     """
     _, kp1, d = stacks.shape
-    v, rhs = _offsets(stacks, targets)
+    v, rhs = _offsets(stacks)
     w, ok = _gram_solve(np.einsum("mid,mjd->mij", v, v), rhs)
     bary = np.concatenate([1.0 - w.sum(axis=1, keepdims=True), w], axis=1)
     low = np.nonzero(~ok)[0]
@@ -232,8 +210,7 @@ def _affine_solve(stacks, targets=None):
         dots = np.einsum("rijx,rilx->rijl", off, off)
         pivot = np.where(np.eye(kp1, dtype=bool), -np.inf, dots).max(axis=(2, 3)).argmin(axis=1)
         perm = (pivot[:, None] + np.arange(kp1)) % kp1
-        pv, prhs = _offsets(sub[np.arange(len(low))[:, None], perm],
-                            None if targets is None else targets[low])
+        pv, prhs = _offsets(sub[np.arange(len(low))[:, None], perm])
         u, s, _ = np.linalg.svd(pv, full_matrices=False)
         kept = s > TAU_GEOM * s[:, :1]
         ok[low] = kept[:, -1]
@@ -261,34 +238,6 @@ def circumspheres_batch(stacks: np.ndarray):
     bary, ok, v = _affine_solve(stacks)
     offsets = np.einsum("mi,mij->mj", bary[:, 1:], v)
     return stacks[:, 0] + offsets, np.linalg.norm(offsets, axis=1), bary, ok
-
-
-def circumsphere(points) -> CircumSphere:
-    """Center and radius of the unique (k-1)-sphere through k+1 points.
-
-    The center is the point of the affine hull equidistant from all
-    inputs: ``circumspheres_batch`` on a single tuple.
-    """
-    points = np.asarray(points, dtype=float)
-    centers, radii, _, ok = circumspheres_batch(points[None])
-    if not ok[0]:
-        raise DegenerateConfiguration("circumsphere points are affinely dependent")
-    return CircumSphere(centers[0], float(radii[0]), len(points) - 1)
-
-
-def barycentric_coordinates(c, points) -> np.ndarray:
-    """Barycentric coordinates of c with respect to k+1 affinely
-    independent points (c assumed in their affine hull)."""
-    bary, ok, _ = _affine_solve(np.asarray(points, float)[None], np.asarray(c, float)[None])
-    if not ok[0]:
-        raise DegenerateConfiguration("hull points are affinely dependent")
-    return bary[0]
-
-
-def in_open_convex_hull(c, points) -> bool:
-    """True iff c lies strictly inside the convex hull of the points:
-    the indicator of the first critical-point condition."""
-    return bool(hull_membership(barycentric_coordinates(c, points))[0])
 
 
 def in_relative_interior(c, points) -> bool:

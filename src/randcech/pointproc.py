@@ -57,10 +57,13 @@ class Density:
     f_min: float = 0.0
     support_volume: float | None = None
     support_convex: bool = False
-    support_diameter: float | None = None
-    lower_bounded: bool = False
     name: str = "custom"
     params: dict = field(default_factory=dict)
+
+    @property
+    def lower_bounded(self) -> bool:
+        """f is bounded below by a positive constant on its support."""
+        return self.f_min > 0
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         pts = self.sampler(rng, size)
@@ -87,8 +90,6 @@ class Density:
 class PointCloud:
     dim: int
     points: np.ndarray
-    process_kind: str = "iid"  # "iid" | "poisson"
-    seed: int | None = None
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float).reshape(-1, self.dim)
@@ -102,7 +103,7 @@ def sample_iid(f: Density, n: int, rng: np.random.Generator) -> PointCloud:
     """n independent draws from f."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return PointCloud(f.dim, f.sample(rng, n), "iid")
+    return PointCloud(f.dim, f.sample(rng, n))
 
 
 def sample_poisson(f: Density, n: float, rng: np.random.Generator) -> PointCloud:
@@ -110,7 +111,7 @@ def sample_poisson(f: Density, n: float, rng: np.random.Generator) -> PointCloud
     if n <= 0:
         raise ValueError("intensity scale must be > 0")
     count = int(rng.poisson(n))
-    return PointCloud(f.dim, f.sample(rng, count), "poisson")
+    return PointCloud(f.dim, f.sample(rng, count))
 
 
 # -- builtin densities -------------------------------------------------------
@@ -140,8 +141,6 @@ def uniform_box(d: int, side: float = 1.0) -> Density:
         f_min=f,
         support_volume=vol,
         support_convex=True,
-        support_diameter=side * np.sqrt(d),
-        lower_bounded=True,
         name="uniform_box",
         params={"side": side},
     )
@@ -176,8 +175,6 @@ def uniform_ball(d: int, radius: float = 1.0) -> Density:
         f_min=f,
         support_volume=vol,
         support_convex=True,
-        support_diameter=2.0 * radius,
-        lower_bounded=True,
         name="uniform_ball",
         params={"radius": radius},
     )
@@ -203,8 +200,6 @@ def uniform_annulus(d: int, r_in: float, r_out: float) -> Density:
         f_min=f,
         support_volume=vol,
         support_convex=False,
-        support_diameter=2.0 * r_out,
-        lower_bounded=True,
         name="uniform_annulus",
         params={"r_in": r_in, "r_out": r_out},
     )
@@ -229,8 +224,6 @@ def isotropic_gaussian(d: int, sigma: float = 1.0) -> Density:
         f_min=0.0,
         support_volume=None,
         support_convex=True,
-        support_diameter=None,
-        lower_bounded=False,
         name="isotropic_gaussian",
         params={"sigma": sigma},
     )

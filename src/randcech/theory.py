@@ -29,7 +29,6 @@ and the standard errors of their combinations include the covariance.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -84,8 +83,9 @@ class RegimeSpec:
     d: int
 
     def __post_init__(self):
-        if self.c <= 0 or self.beta <= 0 or self.d < 1:
-            raise ValueError("need c > 0, beta > 0, d >= 1")
+        if not (0 < self.c < INF and 0 < self.beta < INF) or self.d < 1:
+            raise ValueError(f"need finite c > 0, finite beta > 0 and d >= 1, "
+                             f"got c = {self.c!r}, beta = {self.beta!r}, d = {self.d!r}")
 
     def radius(self, n: float) -> float:
         return self.c * n ** (-self.beta)
@@ -577,8 +577,3 @@ def constants_table(entries: list, seed: int | None = None) -> dict:
             "seed": seed,
         }
     return out
-
-
-def save_constants(entries: list, path, seed: int | None = None) -> None:
-    with open(path, "w") as fh:
-        json.dump(constants_table(entries, seed), fh, indent=2, sort_keys=True)

@@ -101,6 +101,7 @@ def test_constants_subcommand(capsys, tmp_path):
                  "--samples", "20000", "--seed", "5", "--out", str(out)])
     assert code == 0
     table = json.loads(out.read_text())
+    assert json.loads(capsys.readouterr().out) == table  # --out holds the printed table
     key = "gamma_k|k=1|j=-|lambda=1.0"
     assert key in table
     assert table[key]["value"] == pytest.approx(1.9136, abs=0.05)

@@ -65,6 +65,38 @@ def test_interloper_blocks_generation():
     assert not is_generating((0, 1), c, eps=GLOBAL)
 
 
+def test_is_generating_refuses_out_of_range_indices():
+    """A negative index would wrap to the end of the cloud, and one past
+    it would escape as a bare IndexError: both are named."""
+    c = cloud_of([(0, 0), (2, 0), (1, 1.5)])
+    for generators, bad in (((-1, 0), -1), ((0, 3), 3), ((1, 2, 7), 7)):
+        with pytest.raises(ValueError, match=f"generator index {bad} is out of range for 3 points"):
+            is_generating(generators, c)
+
+
+@pytest.mark.parametrize("k_max", [0, -1])
+def test_k_max_below_one_gives_no_row_on_any_source(k_max, monkeypatch):
+    """k_max < 1 asks for no index >= 1: the clique source at eps = 0.08
+    and the Delaunay source at eps = 0.3 return no row, as the oracle
+    does, and no candidate is evaluated."""
+    pts = sample_iid(uniform_box(2), 60, substream(127, 0)).points
+    radii = (0.08, 0.3)
+    edges = [len(cKDTree(pts).query_pairs(2 * eps)) for eps in radii]
+    assert [enumeration._pick_strategy(60, 2, m) for m in edges] == ["grid", "delaunay"]
+    evaluated, evaluate = [], enumeration._evaluate_batch
+
+    def counting(frame, subsets, workers=None):
+        evaluated.append(len(subsets))
+        return evaluate(frame, subsets, workers)
+
+    monkeypatch.setattr(enumeration, "_evaluate_batch", counting)
+    for eps in radii:
+        for call in (enumerate_grid, enumerate_brute):
+            cps = call(pts, eps, k_max=k_max)
+            assert len(cps.index) == 0 and len(cps) == 60
+    assert evaluated == []
+
+
 def test_acute_triangle_global_counts():
     pts = [(0, 0), (1, 0), (0.5, math.sqrt(3) / 2)]
     cps = enumerate_global(cloud_of(pts))

@@ -86,6 +86,12 @@ def test_config_errors_name_the_field(overrides, field):
         small_config(**overrides).validate()
 
 
+def test_config_rule_error_names_the_values():
+    for c, beta in ((math.nan, 0.5), (1.0, math.inf), (-1.0, 0.5)):
+        with pytest.raises(ConfigError, match=rf"got c = {c!r}, beta = {beta!r}$"):
+            small_config(c=c, beta=beta).validate()
+
+
 def test_supercritical_requires_density_flags():
     cfg = small_config(beta=0.25, density="uniform_annulus",
                        density_params={"r_in": 1.0, "r_out": 2.0})
@@ -256,6 +262,11 @@ def test_global_vs_local_annulus_gap_needs_no_index_d_target():
     )
     full = global_vs_local(replace(cfg, k_targets=(1, 2)))
     assert global_vs_local(cfg)["signed_top_gap"] == full["signed_top_gap"]
+
+
+def test_global_vs_local_with_only_index_zero():
+    cfg = small_config(mode="global_vs_local", k_targets=(0,), n_schedule=(40,), trials=2)
+    assert global_vs_local(cfg) == {"gap": {40: {}}, "signed_top_gap": {}}
 
 
 def test_calibrate_d_star_returns_candidate():

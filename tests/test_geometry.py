@@ -12,15 +12,11 @@ from hypothesis import strategies as st
 
 from randcech.geometry import (
     Ball,
-    DegenerateConfiguration,
     TAU_GEOM,
     affine_rank,
     ball_volume,
-    barycentric_coordinates,
-    circumsphere,
     circumspheres_batch,
-    general_position,
-    in_open_convex_hull,
+    hull_membership,
     in_relative_interior,
     min_enclosing_ball,
     min_enclosing_radii_batch,
@@ -56,16 +52,34 @@ def test_ball_volume_scaling():
 
 # ---------------------------------------------------------- general position
 
+def _general_position(points) -> bool:
+    """k+1 points span a k-dimensional affine space."""
+    return affine_rank(points) == len(points) - 1
+
+
+def _circumsphere(points):
+    """Center, radius and ``ok`` flag of one tuple's circumsphere."""
+    centers, radii, _, ok = circumspheres_batch(np.asarray(points, dtype=float)[None])
+    return centers[0], radii[0], bool(ok[0])
+
+
+def _in_open_hull(points) -> bool:
+    """CP1 for one tuple: its circumcenter lies in its open hull."""
+    _, _, bary, ok = circumspheres_batch(np.asarray(points, dtype=float)[None])
+    return bool(ok[0] and hull_membership(bary)[0][0])
+
+
 def test_general_position_examples():
-    assert general_position([(0, 0), (1, 0)])
-    assert not general_position([(0, 0), (1, 0), (2, 0)])
+    assert _general_position([(0, 0), (1, 0)])
+    assert not _general_position([(0, 0), (1, 0), (2, 0)])
     # near-degenerate below the tolerance counts as degenerate
-    assert not general_position([(0, 0), (1, 0), (0.5, 1e-14)])
-    assert general_position([(0, 0), (1, 0), (0.5, 1e-3)])
+    assert not _general_position([(0, 0), (1, 0), (0.5, 1e-14)])
+    assert _general_position([(0, 0), (1, 0), (0.5, 1e-3)])
 
 
 def test_general_position_never_crashes_on_duplicates():
-    assert not general_position([(1.0, 1.0), (1.0, 1.0)])
+    assert not _general_position([(1.0, 1.0), (1.0, 1.0)])
+    assert not _circumsphere([(1.0, 1.0), (1.0, 1.0)])[2]
 
 
 def test_affine_rank_simplex():
@@ -76,54 +90,44 @@ def test_affine_rank_simplex():
 # ---------------------------------------------------------------- circumsphere
 
 def test_circumsphere_segment():
-    cs = circumsphere([(0, 0), (2, 0)])
-    assert cs.center == pytest.approx((1.0, 0.0))
-    assert cs.radius == pytest.approx(1.0)
-    assert cs.affine_dim == 1
+    center, radius, ok = _circumsphere([(0, 0), (2, 0)])
+    assert ok
+    assert center == pytest.approx((1.0, 0.0))
+    assert radius == pytest.approx(1.0)
 
 
 def test_circumsphere_equilateral():
-    cs = circumsphere([(0, 0), (1, 0), (0.5, math.sqrt(3) / 2)])
-    assert cs.center == pytest.approx((0.5, math.sqrt(3) / 6))
-    assert cs.radius == pytest.approx(1 / math.sqrt(3))
+    center, radius, ok = _circumsphere([(0, 0), (1, 0), (0.5, math.sqrt(3) / 2)])
+    assert ok
+    assert center == pytest.approx((0.5, math.sqrt(3) / 6))
+    assert radius == pytest.approx(1 / math.sqrt(3))
 
 
 def test_circumsphere_right_triangle():
-    cs = circumsphere([(0, 0), (2, 0), (1, 1)])
-    assert cs.center == pytest.approx((1.0, 0.0))
-    assert cs.radius == pytest.approx(1.0)
+    center, radius, ok = _circumsphere([(0, 0), (2, 0), (1, 1)])
+    assert ok
+    assert center == pytest.approx((1.0, 0.0))
+    assert radius == pytest.approx(1.0)
 
 
-def test_circumsphere_degenerate_raises():
-    with pytest.raises(DegenerateConfiguration):
-        circumsphere([(0, 0), (1, 0), (2, 0)])
+def test_circumsphere_degenerate_is_not_ok():
+    assert not _circumsphere([(0, 0), (1, 0), (2, 0)])[2]
 
 
 def test_circumsphere_equidistance_property():
-    """Center is equidistant from all generators, across sizes and dims."""
+    """Center is equidistant from all generators, across sizes and dims;
+    the batch flags exactly the tuples out of general position."""
     rng = substream(7, 1)
     for _ in range(2000):
         d = int(rng.integers(1, 6))
         k = int(rng.integers(1, d + 1))
         pts = rng.standard_normal((k + 1, d))
-        if not general_position(pts):
+        center, radius, ok = _circumsphere(pts)
+        assert ok == _general_position(pts)
+        if not ok:
             continue
-        cs = circumsphere(pts)
-        dist = np.linalg.norm(pts - cs.center, axis=1)
-        assert np.max(np.abs(dist - cs.radius)) < 1e-7
-
-
-def test_circumspheres_batch_matches_scalar(rng):
-    for size, d in [(2, 2), (3, 2), (3, 3), (4, 3), (5, 4)]:
-        stacks = rng.standard_normal((50, size, d))
-        centers, radii, bary, ok = circumspheres_batch(stacks)
-        for i in range(len(stacks)):
-            if not ok[i]:
-                assert not general_position(stacks[i])
-                continue
-            cs = circumsphere(stacks[i])
-            assert np.allclose(centers[i], cs.center, atol=1e-8)
-            assert radii[i] == pytest.approx(cs.radius, abs=1e-8)
+        dist = np.linalg.norm(pts - center, axis=1)
+        assert np.max(np.abs(dist - radius)) < 1e-7
 
 
 def test_circumspheres_batch_cutoff_is_relative():
@@ -161,26 +165,20 @@ def _well_conditioned(stacks):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_affine_solve_agrees_with_a_per_row_reference(k, rng):
-    """Circumcenters against np.linalg.solve of each row's Gram system, and
-    the coordinates of targets (off the hull when d > k) against lstsq:
+    """Circumcenters against np.linalg.solve of each row's Gram system:
     barycentric coordinates within 1e-12 of the row's largest."""
     for d in range(k, 6):
         stacks = rng.standard_normal((100, k + 1, d))
         stacks = stacks[_well_conditioned(stacks)]
         assert len(stacks) >= 20
-        targets = rng.standard_normal((len(stacks), d))
-        for t in (None, targets):
-            bary, ok, v = _affine_solve(stacks, t)
-            assert ok.all()
-            assert np.array_equal(v, stacks[:, 1:] - stacks[:, :1])
-            for row, p in enumerate(stacks):
-                off = p[1:] - p[0]
-                if t is None:
-                    w = np.linalg.solve(off @ off.T, 0.5 * np.sum(off * off, axis=1))
-                else:
-                    w = np.linalg.lstsq(off.T, t[row] - p[0], rcond=None)[0]
-                ref = np.r_[1.0 - w.sum(), w]
-                assert np.abs(bary[row] - ref).max() <= 1e-12 * np.abs(ref).max()
+        bary, ok, v = _affine_solve(stacks)
+        assert ok.all()
+        assert np.array_equal(v, stacks[:, 1:] - stacks[:, :1])
+        for row, p in enumerate(stacks):
+            off = p[1:] - p[0]
+            w = np.linalg.solve(off @ off.T, 0.5 * np.sum(off * off, axis=1))
+            ref = np.r_[1.0 - w.sum(), w]
+            assert np.abs(bary[row] - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -207,7 +205,7 @@ def test_gram_solve_ok_is_the_determinant_test(k, rng):
 def test_degenerate_rows_are_quiet(rng):
     """More than d+1 points, coincident points, collinear points and
     all-zero rows, at scales 1e-9 to 1e9: never ok, finite, and no
-    RuntimeWarning, with and without targets."""
+    RuntimeWarning."""
     cases = [
         rng.standard_normal((5, 4, 2)),
         rng.standard_normal((5, 6, 3)),
@@ -226,8 +224,7 @@ def test_degenerate_rows_are_quiet(rng):
                 centers, radii, bary, ok = circumspheres_batch(scale * stacks)
                 assert not ok.any()
                 assert np.isfinite(centers).all() and np.isfinite(radii).all()
-                bary, ok, _ = _affine_solve(scale * stacks, scale * stacks[:, -1])
-                assert not ok.any() and np.isfinite(bary).all()
+                assert np.isfinite(bary).all()
 
 
 def test_circumspheres_make_no_per_matrix_lapack_call(monkeypatch, rng):
@@ -248,50 +245,45 @@ def test_circumspheres_make_no_per_matrix_lapack_call(monkeypatch, rng):
 # ------------------------------------------------------------- hull membership
 
 def test_open_hull_equilateral_center():
-    pts = [(0, 0), (1, 0), (0.5, math.sqrt(3) / 2)]
-    assert in_open_convex_hull(circumsphere(pts).center, pts)
+    assert _in_open_hull([(0, 0), (1, 0), (0.5, math.sqrt(3) / 2)])
 
 
 def test_open_hull_boundary_excluded():
-    # circumcenter of this right triangle sits on the hypotenuse midpoint
-    pts = [(0, 0), (2, 0), (1, 1)]
-    assert not in_open_convex_hull((1.0, 0.0), pts)
+    # circumcenter of this right triangle sits on the hypotenuse midpoint:
+    # excluded from the open hull, kept by the relaxed test
+    _, _, bary, _ = circumspheres_batch(np.array([[[0, 0], [2, 0], [1, 1]]], float))
+    strict, weak = hull_membership(bary)
+    assert not strict[0] and weak[0]
 
 
 def test_open_hull_obtuse_center_outside():
-    pts = [(0, 0), (1, 0), (0.5, 0.1)]
-    assert not in_open_convex_hull(circumsphere(pts).center, pts)
+    assert not _in_open_hull([(0, 0), (1, 0), (0.5, 0.1)])
 
 
 def test_midpoint_always_interior_for_pairs(rng):
     for _ in range(100):
-        pts = rng.standard_normal((2, 3))
-        cs = circumsphere(pts)
-        assert in_open_convex_hull(cs.center, pts)
-
-
-def test_barycentric_coordinates_sum_to_one(rng):
-    pts = rng.standard_normal((4, 3))
-    lam = barycentric_coordinates(pts.mean(axis=0), pts)
-    assert lam.sum() == pytest.approx(1.0)
-    assert np.allclose(lam, 0.25)
+        assert _in_open_hull(rng.standard_normal((2, 3)))
 
 
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=30, deadline=None)
 def test_open_hull_invariant_under_relabeling_and_rigid_motion(seed):
+    """CP1 and the circumcenter follow the tuple under relabelling and
+    rigid motion."""
     rng = np.random.default_rng(seed)
     d = int(rng.integers(2, 5))
     k = int(rng.integers(1, d + 1))
     pts = rng.standard_normal((k + 1, d))
-    if not general_position(pts):
+    if not _general_position(pts):
         return
-    c = circumsphere(pts).center
-    base = in_open_convex_hull(c, pts)
+    c, r, _ = _circumsphere(pts)
+    base = _in_open_hull(pts)
     perm = rng.permutation(k + 1)
-    assert in_open_convex_hull(c, pts[perm]) == base
+    assert _in_open_hull(pts[perm]) == base
     rot, shift = random_rotation(d, rng), rng.standard_normal(d)
-    assert in_open_convex_hull(c @ rot.T + shift, pts @ rot.T + shift) == base
+    moved = pts @ rot.T + shift
+    assert _in_open_hull(moved) == base
+    assert np.linalg.norm(_circumsphere(moved)[0] - (c @ rot.T + shift)) <= 1e-6 * (1.0 + r)
 
 
 # ------------------------------------------------------------------ miniballs
@@ -325,10 +317,9 @@ def _brute_miniball_radius(pts: np.ndarray) -> float:
             if size == 1:
                 c, r = sub[0], 0.0
             else:
-                if not general_position(sub):
+                c, r, ok = _circumsphere(sub)
+                if not ok:
                     continue
-                cs = circumsphere(sub)
-                c, r = cs.center, cs.radius
             if np.all(np.linalg.norm(pts - c, axis=1) <= r + 1e-9):
                 best = min(best, r)
     return best

@@ -80,6 +80,16 @@ def test_gaussian_not_lower_bounded():
     assert f.f_max == pytest.approx(1.0 / (2.0 * math.pi))
 
 
+def test_lower_bounded_follows_f_min():
+    """lower_bounded is read from f_min, so the two cannot disagree."""
+    f = uniform_box(2)
+    assert f.lower_bounded
+    f.f_min = 0.0
+    assert not f.lower_bounded
+    with pytest.raises(AttributeError):
+        f.lower_bounded = True
+
+
 @pytest.mark.parametrize("factory, param", [
     (uniform_box, "side"), (uniform_ball, "radius"), (isotropic_gaussian, "sigma"),
 ])

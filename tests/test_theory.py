@@ -24,7 +24,6 @@ from randcech.theory import (
     gamma_k_j_estimate,
     mu_1_closed,
     mu_k_estimate,
-    save_constants,
     structure_integral,
     variance_constants_estimate,
 )
@@ -44,6 +43,14 @@ def test_regime_lambda_and_radius():
     spec = RegimeSpec(2.0, 0.5, 2)
     assert spec.lam == pytest.approx(4.0)  # lambda = c^d
     assert spec.radius(10_000) == pytest.approx(0.02)
+
+
+@pytest.mark.parametrize("c, beta", [(1.0, math.nan), (math.nan, 0.5), (math.inf, 0.5),
+                                     (1.0, math.inf), (0.0, 0.5), (1.0, -0.5)])
+def test_regime_refuses_nonfinite_or_nonpositive_parameters(c, beta):
+    """NaN used to classify as supercritical (beta) or critical (c)."""
+    with pytest.raises(ValueError, match=rf"got c = {c!r}, beta = {beta!r}, d = 2"):
+        RegimeSpec(c, beta, 2)
 
 
 def test_critical_index_examples():
@@ -283,13 +290,11 @@ def test_estimate_agrees_overloads():
 
 # ---------------------------------------------------------------- export table
 
-def test_constants_table_schema(tmp_path):
+def test_constants_table_schema():
     est = Estimate(1.5, 0.01, 1000)
     entries = [("gamma_k", 1, None, 1.0, est), ("gamma_k_j", 1, 0, 1.0, est)]
     table = constants_table(entries, seed=7)
     assert "gamma_k|k=1|j=-|lambda=1.0" in table
     row = table["gamma_k|k=1|j=-|lambda=1.0"]
     assert row == {"value": 1.5, "std_err": 0.01, "samples": 1000, "seed": 7}
-    path = tmp_path / "constants.json"
-    save_constants(entries, path, seed=7)
-    assert json.loads(path.read_text()) == table
+    assert json.loads(json.dumps(table)) == table  # JSON-ready as it is
