@@ -14,7 +14,7 @@ Run:  python3 demos/01_critical_points_tour.py
 """
 
 from randcech.cech import build_cech, euler_characteristic
-from randcech.enumeration import counts, enumerate_global, enumerate_grid, verify_critical_point
+from randcech.enumeration import GLOBAL, counts, enumerate_grid, verify_critical_point
 from randcech.pointproc import sample_iid, substream, uniform_box
 
 SEED = 20240817
@@ -46,8 +46,8 @@ def main() -> None:
     print(f"  Euler characteristic {chi} vs Morse alternating sum {morse}"
           f"  ->  {'match' if chi == morse else 'MISMATCH'}")
 
-    gl = enumerate_global(cloud)
-    gcounts = counts(gl, n, float('inf'), d)
+    gl = enumerate_grid(cloud, GLOBAL)
+    gcounts = counts(gl, n, GLOBAL, d)
     alt = sum((-1) ** k * c for k, c in enumerate(gcounts.by_index))
     print(f"\nglobal enumeration (all radii): counts {gcounts.by_index}")
     print(f"  alternating sum {alt} (must be 1 for every cloud)")

@@ -29,7 +29,6 @@ from .enumeration import (
     CriticalPoints,
     counts,
     enumerate_brute,
-    enumerate_global,
     enumerate_grid,
     is_generating,
 )

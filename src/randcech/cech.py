@@ -246,8 +246,7 @@ def _beta0_union_find(n: int, edges: np.ndarray) -> int:
     return comps
 
 
-def betti_numbers(cx: CechComplex, max_dim: int | None = None,
-                  budget: int = BETTI_BUDGET) -> np.ndarray:
+def betti_numbers(cx: CechComplex, max_dim: int | None = None) -> np.ndarray:
     """Betti numbers over GF(2) up to max_dim (default: top dimension).
 
     beta_j = dim ker boundary_j - dim im boundary_{j+1}; beta_0 is
@@ -257,18 +256,15 @@ def betti_numbers(cx: CechComplex, max_dim: int | None = None,
     if max_dim is None:
         max_dim = top
     if cx.truncated and max_dim >= (top if cx.dim_cap is None else cx.dim_cap):
-        raise TruncatedComplex(
-            "requested Betti dimension reaches the truncation cap"
-        )
+        raise TruncatedComplex("requested Betti dimension reaches the truncation cap")
     counts = cx.counts()
     # per column: at most rank xor-reductions of a counts[j-1]-bit mask
     work = sum(
         int(counts[j]) * int(counts[j - 1]) * min(int(counts[j]), int(counts[j - 1])) // 64
         for j in range(1, min(max_dim + 1, len(counts) - 1) + 1)
-        if j < len(counts)
     )
-    if work > budget:
-        raise BudgetExceeded(f"estimated elimination work {work} exceeds {budget}")
+    if work > BETTI_BUDGET:
+        raise BudgetExceeded(f"estimated elimination work {work} exceeds {BETTI_BUDGET}")
     ranks = {}
     for j in range(1, min(max_dim + 1, top) + 1):
         cells = cx.simplices.get(j)

@@ -16,8 +16,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import cech, enumeration, experiments, pointproc, theory
 
 EXIT_CONFIG = 2
@@ -49,10 +47,7 @@ def _cmd_enumerate(args) -> int:
     eps = math.inf if args.use_global else args.eps
     if eps is None:
         raise ValueError("need --eps X or --global")
-    if eps == math.inf:
-        cps = enumeration.enumerate_global(cloud)
-    else:
-        cps = enumeration.enumerate_grid(cloud, eps)
+    cps = enumeration.enumerate_grid(cloud, eps)
     cc = enumeration.counts(cps, cloud.n, eps, cloud.dim)
     print(f"n={cloud.n} d={cloud.dim} eps={eps}")
     print("counts by index:", " ".join(str(int(v)) for v in cc.by_index))

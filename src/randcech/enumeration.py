@@ -81,6 +81,7 @@ GLOBAL_CAP = 200_000
 CLIQUE_CHUNK = 1 << 18  # candidate rows built at a time by expand_cliques
 TILE_POINTS = 6_000  # points per core of a Delaunay tile
 ROWS_PER_THREAD = 1_024  # CP2 query rows per thread it starts
+VERIFY_TOL = 1e-6  # verify_critical_point's tolerance, relative to the cloud's scale
 
 
 class OracleCapExceeded(ValueError):
@@ -425,17 +426,19 @@ def _frame(points, eps):
 
 
 def is_generating(generators, cloud, eps=GLOBAL) -> bool:
-    """CP1 + CP2 (+ CP3 unless eps is GLOBAL) for one subset of distinct
-    indices in 0..n-1; any other index raises ``ValueError``."""
+    """CP1 + CP2 (+ CP3 unless eps is GLOBAL) for one nonempty subset of distinct
+    integer indices in 0..n-1; a float, bool or string entry raises ``ValueError``."""
     eps = _eps_rule(eps)
     points = _as_points(cloud)
-    subset = np.asarray(sorted(int(i) for i in generators), dtype=np.int64)
-    if len(set(subset)) != len(subset):
-        raise ValueError("generator indices must be distinct")
-    for i in subset.tolist():
+    generators = list(generators)
+    for i in generators:
+        if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+            raise ValueError(f"generator index {i!r} is not an integer")
         if not 0 <= i < len(points):
             raise ValueError(f"generator index {i} is out of range for {len(points)} points")
-    found, _, _, strict = _evaluate_batch(_frame(points, eps)[0], subset[None, :])
+    if not generators or len(set(generators)) != len(generators):
+        raise ValueError("need one or more distinct generator indices")
+    found, _, _, strict = _evaluate_batch(_frame(points, eps)[0], np.sort(generators)[None])
     return len(found) == 1 and bool(strict[0])
 
 
@@ -443,33 +446,44 @@ def is_generating(generators, cloud, eps=GLOBAL) -> bool:
 # enumeration paths
 
 
-def enumerate_brute(cloud, eps=GLOBAL, k_max=None, cap=None):
-    """Exhaustive oracle over all (k+1)-subsets, 1 <= k <= k_max."""
+def enumerate_brute(cloud, eps=GLOBAL, k_max=None):
+    """Exhaustive oracle over all (k+1)-subsets: the points of index 1..k_max."""
     eps = _eps_rule(eps)
     points = _as_points(cloud)
     n, d = points.shape
     if n == 0:
         return _resolve_ties(points, None, [])
     k_max = d if k_max is None else min(k_max, d)
-    limit = cap if cap is not None else BRUTE_CAP_GLOBAL if eps is None else BRUTE_CAP_RESTRICTED
+    limit = BRUTE_CAP_GLOBAL if eps is None else BRUTE_CAP_RESTRICTED
     if n > limit:
         raise OracleCapExceeded(f"n={n} exceeds brute-force cap {limit}")
     frame = _frame(points, eps)[0]
     batches = []
-    for k in range(1, k_max + 1):
+    top = min(k_max + 1, d) if k_max >= 1 else 0  # one size up: see _up_to
+    for k in range(1, top + 1):
         combos = itertools.combinations(range(n), k + 1)
         while True:
-            chunk = np.array(list(itertools.islice(combos, 100_000)), dtype=np.int64)
+            chunk = np.fromiter(itertools.chain.from_iterable(itertools.islice(combos, 100_000)),
+                                np.int64).reshape(-1, k + 1)
             if chunk.size == 0:
                 break
             batches.append(_evaluate_batch(frame, chunk))
-    return _resolve_ties(points, frame, batches)
+    return _up_to(_resolve_ties(points, frame, batches), k_max)
+
+
+def _up_to(cps: CriticalPoints, k_max: int) -> CriticalPoints:
+    """The rows of index <= k_max, cut to k_max + 1 columns or their widest row.
+    Candidates are evaluated one size up: a tie can merge a smaller one into a higher index."""
+    m = int(np.searchsorted(cps.index, k_max, side="right"))  # rows are in index order
+    wide = np.any(cps.generators[:m, k_max + 1:] >= 0, axis=0)  # the -1 padding is on the right
+    gens = cps.generators[:m, :k_max + 1 + int(np.sum(wide))]
+    return CriticalPoints(cps.points, cps.index[:m], gens, cps.centers[:m], cps.values[:m])
 
 
 def enumerate_grid(cloud, eps, k_max=None):
     """Critical points of index 1..k_max (d when None; none when k_max
     < 1) with value <= eps (all of them for eps None or inf), identical
-    in output to the oracle.
+    in output to the oracle.  A global call refuses n > ``GLOBAL_CAP``.
 
     Candidates are Delaunay faces when 2 <= d <= 3 and the 2 eps graph
     has more than 2^d n edges (n(n-1)/2 when global), else its cliques;
@@ -478,6 +492,8 @@ def enumerate_grid(cloud, eps, k_max=None):
     """
     eps = _eps_rule(eps)
     points = _as_points(cloud)
+    if eps is None and len(points) > GLOBAL_CAP:
+        raise GlobalCapExceeded(f"n={len(points)} exceeds global cap {GLOBAL_CAP}")
     if len(points) == 0:
         return _resolve_ties(points, None, [])
     n, d = points.shape
@@ -485,17 +501,18 @@ def enumerate_grid(cloud, eps, k_max=None):
     frame, pairs = _frame(points, eps)
     if k_max < 1:
         return _resolve_ties(points, frame, [])
+    top = min(k_max + 1, d)  # one size up: see _up_to
     edges = n * (n - 1) // 2 if pairs is None else len(pairs)
     strategy = _pick_strategy(n, d, edges)
     log.debug("%s candidates: n = %d, %d edges in the 2 eps graph", strategy, n, edges)
     if strategy == "delaunay":
         del pairs  # only their count was needed
-        return _resolve_ties(points, frame, _delaunay_batches(frame, k_max))
+        return _up_to(_resolve_ties(points, frame, _delaunay_batches(frame, top)), k_max)
     pairs = np.column_stack(np.triu_indices(n, 1)) if pairs is None else _lexicographic(pairs, n)
     subsets = [pairs]
-    while len(subsets) < k_max and len(subsets[-1]):
+    while len(subsets) < top and len(subsets[-1]):
         subsets.append(expand_cliques(subsets[-1], pairs, n)[0])
-    return _resolve_ties(points, frame, [_evaluate_batch(frame, arr) for arr in subsets])
+    return _up_to(_resolve_ties(points, frame, [_evaluate_batch(frame, a) for a in subsets]), k_max)
 
 
 def _delaunay_batches(frame, k_max) -> list:
@@ -584,14 +601,6 @@ def _pick_strategy(n: int, d: int, edges: int) -> str:
     return "delaunay" if 2 <= d <= 3 and edges > 2**d * n else "grid"
 
 
-def enumerate_global(cloud, k_max=None, cap=GLOBAL_CAP):
-    """All critical points, no radius restriction."""
-    points = _as_points(cloud)
-    if len(points) > cap:
-        raise GlobalCapExceeded(f"n={len(points)} exceeds global cap {cap}")
-    return enumerate_grid(cloud, None, k_max=k_max)
-
-
 def counts(critical_points, n: int, eps: float, d: int | None = None) -> CriticalCounts:
     """Tally critical points by index; index 0 is always the n minima.
 
@@ -612,18 +621,18 @@ def counts(critical_points, n: int, eps: float, d: int | None = None) -> Critica
     return CriticalCounts(by_index, eps, n)
 
 
-def verify_critical_point(cloud, cp: CriticalPoint, tol: float = 1e-6) -> bool:
+def verify_critical_point(cloud, cp: CriticalPoint) -> bool:
     """Independent post-hoc audit of one emitted critical point.
 
-    ``tol`` bounds the center's shift and the value's error relative to
-    the cloud's scale from ``local_frame``, so the answer does not change
-    when the cloud is scaled."""
+    ``VERIFY_TOL`` bounds the center's shift and the value's error
+    relative to the cloud's scale from ``local_frame``, so the answer does
+    not change when the cloud is scaled."""
     points = _as_points(cloud)
     gen = np.asarray(cp.generators, dtype=np.int64)
     if cp.index == 0:
         return len(gen) == 1 and cp.value == 0.0
     scale = local_frame(points)[2]
-    tol = tol * scale
+    tol = VERIFY_TOL * scale
     pts = points[gen]
     if len(gen) != cp.index + 1:
         # degenerate merged point: only check center/value consistency
@@ -643,11 +652,12 @@ def verify_critical_point(cloud, cp: CriticalPoint, tol: float = 1e-6) -> bool:
 
 
 def count_index1(cloud, eps: float) -> int:
-    """Number of index-1 critical points with value <= eps.
+    """Number of Gabriel edges of half-length <= eps: N_1(eps) in general position.
 
     For k = 1 the circumcenter is the midpoint (CP1 always holds), so
     the whole check vectorizes: pairs at distance <= 2 eps whose
-    midpoint has no cloud point strictly inside the diametral ball.
+    midpoint has no cloud point strictly inside the diametral ball.  No
+    tie rule runs: on cospherical input it over-counts (square: 6, N_1 = 4).
     """
     eps = _eps_rule(eps)
     points = _as_points(cloud)
@@ -670,7 +680,7 @@ def critical_values_by_index(points: np.ndarray, k_max: int | None = None) -> di
     One enumeration serves every radius: N_k(eps) is the number of
     values <= eps and the global count is the array length.
     """
-    cps = enumerate_global(points, k_max=k_max)
+    cps = enumerate_grid(points, GLOBAL, k_max=k_max)
     k_max = cps.d if k_max is None else min(k_max, cps.d)
     return {k: np.sort(cps.values[cps.index == k]) for k in range(1, k_max + 1)}
 

@@ -41,6 +41,7 @@ from .theory import RegimeSpec
 # largest cloud for which the cross-audit builds the full complex;
 # beyond this the simplex count at critical radii is prohibitive
 AUDIT_N_CAP = 10_000
+AUDIT_TRIALS = 3  # trials at the smallest n that euler_phase cross-audits
 
 
 class ConfigError(ValueError):
@@ -350,11 +351,11 @@ def calibrate_d_star(base: ExperimentConfig, candidates=(1.0, 2.0, 4.0, 8.0),
 # Euler characteristic phase diagram
 
 
-def euler_phase(config: ExperimentConfig, audit_trials: int = 3) -> dict:
+def euler_phase(config: ExperimentConfig) -> dict:
     """Mean Euler characteristic along the n schedule.
 
     chi_n is the alternating sum of critical-point counts at r_n (Morse
-    counting).  The first few trials at the smallest n (if n <=
+    counting).  The first AUDIT_TRIALS trials at the smallest n (if n <=
     AUDIT_N_CAP and the regime is not supercritical) are cross-audited
     against the simplex-count alternating sum of the built complex;
     ``audit_skipped`` counts those whose complex was too large to build.
@@ -365,7 +366,7 @@ def euler_phase(config: ExperimentConfig, audit_trials: int = 3) -> dict:
         chi = tally_counts(enumerate_grid(points, eps), len(points), eps,
                            config.d).alternating_sum()
         chis.setdefault(n, []).append(chi)
-        if (i > 0 or t >= audit_trials or n > AUDIT_N_CAP
+        if (i > 0 or t >= AUDIT_TRIALS or n > AUDIT_N_CAP
                 or config.phase() == "supercritical"):
             continue
         try:

@@ -359,7 +359,7 @@ def spherical_cap_volume(radius: float, height: float, d: int) -> float:
     return 0.5 * full * float(betainc(0.5 * (d + 1), 0.5, x))
 
 
-def two_ball_union_volume(b1: Ball, b2: Ball, d: int | None = None) -> float:
+def two_ball_union_volume(b1: Ball, b2: Ball) -> float:
     """vol(B1 u B2) = vol(B1) + vol(B2) - vol(lens).
 
     The lens is the sum of two hyperspherical caps cut by the radical
@@ -367,8 +367,7 @@ def two_ball_union_volume(b1: Ball, b2: Ball, d: int | None = None) -> float:
     """
     c1 = np.asarray(b1.center, dtype=float)
     c2 = np.asarray(b2.center, dtype=float)
-    if d is None:
-        d = len(c1)
+    d = len(c1)
     r1, r2 = float(b1.radius), float(b2.radius)
     dist = float(np.linalg.norm(c2 - c1))
     v1, v2 = ball_volume(r1, d), ball_volume(r2, d)

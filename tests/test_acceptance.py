@@ -18,7 +18,6 @@ from randcech.enumeration import (
     count_index1,
     counts,
     enumerate_brute,
-    enumerate_global,
     enumerate_grid,
 )
 from randcech.experiments import (
@@ -93,7 +92,7 @@ def test_criterion_02_global_alternating_sum():
         rng = substream(9002, i)
         n = int(rng.integers(2, 21))
         cloud = sample_iid(uniform_box(d), n, rng)
-        cc = counts(enumerate_global(cloud), n, GLOBAL, d)
+        cc = counts(enumerate_grid(cloud, GLOBAL), n, GLOBAL, d)
         if cc.alternating_sum() != 1:
             bad += 1
     _report(2, "global alternating sum = 1", bad == 0,
@@ -287,7 +286,7 @@ def test_criterion_11_euler_phases():
     crit = euler_phase(ExperimentConfig(
         mode="euler_phase", d=2, c=1.0, beta=0.5, k_targets=(1, 2),
         n_schedule=(48_000,), trials=30, seed=9011,
-    ), audit_trials=1)
+    ))
     crit_val = crit["chi_over_n"][48_000]
     crit_rel = abs(crit_val - target) / abs(target)
     crit_ok = crit_rel < 0.05

@@ -284,12 +284,13 @@ def test_complex_too_large_when_all_points_are_close():
             build_cech(cloud.points * 0.1, 1.0, max_simplices=max_simplices)
 
 
-def test_betti_budget_exceeded():
+def test_betti_budget_exceeded(monkeypatch):
     rng = substream(303, 1)
     cloud = sample_iid(uniform_box(2), 35, rng)
     cx = build_cech(cloud.points, 0.15)
+    monkeypatch.setattr(cech, "BETTI_BUDGET", 1)
     with pytest.raises(BudgetExceeded):
-        betti_numbers(cx, budget=1)
+        betti_numbers(cx)
 
 
 def test_eps_must_be_positive():

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from randcech import enumeration
 from randcech.cli import main
 from randcech.pointproc import PointCloud, sample_iid, save_cloud_csv, substream, uniform_box
 
@@ -86,6 +87,13 @@ def test_cech_with_betti(cloud_csv, capsys):
 def test_bad_radius_or_dimension_cap_is_config_error(cloud_csv, capsys, argv, message):
     assert main([*argv, "--cloud", cloud_csv]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_enumerate_global_cap_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(enumeration, "GLOBAL_CAP", 10)
+    code = main(["enumerate", "--density", "uniform_box", "--n", "15", "--global"])
+    assert code == 3
+    assert "budget exceeded: n=15 exceeds global cap 10" in capsys.readouterr().err
 
 
 def test_cech_budget_exit_code(capsys):

@@ -22,7 +22,6 @@ from randcech.enumeration import (
     critical_values_by_index,
     delaunay_subsets,
     enumerate_brute,
-    enumerate_global,
     enumerate_grid,
     expand_cliques,
     is_generating,
@@ -74,6 +73,39 @@ def test_is_generating_refuses_out_of_range_indices():
             is_generating(generators, c)
 
 
+def test_is_generating_refuses_entries_that_are_not_indices():
+    """A float, a string, a bool or an empty subset is refused by name,
+    not truncated, converted or left to numpy."""
+    c = cloud_of([(0, 0), (2, 0), (1, 1.5)])
+    cases = (([0, 1.7], "1.7"), (["1", 2], "'1'"), ([True, 2], "True"),
+             ([0, 1, 2, 0.5], "0.5"))
+    for generators, bad in cases:
+        with pytest.raises(ValueError, match=f"generator index {bad} is not an integer"):
+            is_generating(generators, c)
+    with pytest.raises(ValueError, match="need one or more distinct generator indices"):
+        is_generating([], c)
+    assert is_generating(np.array([0, 1]), c) == is_generating((0, 1), c)
+
+
+def test_k_max_gives_the_lower_rows_of_the_full_enumeration():
+    """On cospherical clouds both sources give, for k_max < d, exactly the
+    full enumeration's rows of index <= k_max: the hypotenuse of a right
+    triangle ties with the triangle and is no saddle, and no merged row of
+    higher index leaks through."""
+    def grid(n):
+        return np.array(list(itertools.product(*[range(s) for s in n])), dtype=float)
+
+    triangle = np.array([(0, 0), (1, 0), (0, 1)], dtype=float)
+    assert list(counts(enumerate_grid(triangle, GLOBAL, k_max=1), 3, GLOBAL).by_index) == [3, 2, 0]
+    clouds = [(triangle, GLOBAL), (grid((2, 2)), GLOBAL), (grid((2, 2, 2)), 0.75),
+              (grid((3, 3, 3)), 1.1)]
+    for pts, eps in clouds:
+        for call in (enumerate_grid, enumerate_brute):
+            full = _exact(call(pts, eps))
+            for k_max in range(1, pts.shape[1]):
+                assert _exact(call(pts, eps, k_max=k_max)) == [r for r in full if r[0] <= k_max]
+
+
 @pytest.mark.parametrize("k_max", [0, -1])
 def test_k_max_below_one_gives_no_row_on_any_source(k_max, monkeypatch):
     """k_max < 1 asks for no index >= 1: the clique source at eps = 0.08
@@ -99,14 +131,14 @@ def test_k_max_below_one_gives_no_row_on_any_source(k_max, monkeypatch):
 
 def test_acute_triangle_global_counts():
     pts = [(0, 0), (1, 0), (0.5, math.sqrt(3) / 2)]
-    cps = enumerate_global(cloud_of(pts))
+    cps = enumerate_grid(cloud_of(pts), GLOBAL)
     cc = counts(cps, 3, GLOBAL, 2)
     assert list(cc.by_index) == [3, 3, 1]
     assert cc.alternating_sum() == 1
 
 
 def test_collinear_points_global_counts():
-    cps = enumerate_global(cloud_of([(0, 0), (1, 0), (2, 0)]))
+    cps = enumerate_grid(cloud_of([(0, 0), (1, 0), (2, 0)]), GLOBAL)
     cc = counts(cps, 3, GLOBAL, 2)
     assert list(cc.by_index) == [3, 2, 0]
     assert cc.alternating_sum() == 1
@@ -114,7 +146,7 @@ def test_collinear_points_global_counts():
 
 def test_square_tie_rule():
     """Four cocircular corners: the tie rule keeps one merged maximum."""
-    cps = enumerate_global(cloud_of([(0, 0), (1, 0), (0, 1), (1, 1)]))
+    cps = enumerate_grid(cloud_of([(0, 0), (1, 0), (0, 1), (1, 1)]), GLOBAL)
     cc = counts(cps, 4, GLOBAL, 2)
     assert list(cc.by_index) == [4, 4, 1]
     assert cc.alternating_sum() == 1
@@ -123,14 +155,14 @@ def test_square_tie_rule():
 def test_near_right_triangle_keeps_gabriel_edge():
     """The circumcenter lies 1e-8 above the midpoint of the Gabriel base
     edge: the edge and the triangle are two critical points, not a tie."""
-    cps = enumerate_global(cloud_of([(0, 0), (1, 0), (0.5, 0.5 + 1e-8)]))
+    cps = enumerate_grid(cloud_of([(0, 0), (1, 0), (0.5, 0.5 + 1e-8)]), GLOBAL)
     assert list(counts(cps, 3, GLOBAL, 2).by_index) == [3, 3, 1]
 
 
 def test_thin_acute_triangle_global_counts():
     """Aspect ratio 1e-6 is thin, not degenerate: all three edges are
     Gabriel and the circumcenter lies inside the triangle."""
-    cps = enumerate_global(cloud_of([(0, 0), (1, 1e-6), (1, -1e-6)]))
+    cps = enumerate_grid(cloud_of([(0, 0), (1, 1e-6), (1, -1e-6)]), GLOBAL)
     assert list(counts(cps, 3, GLOBAL, 2).by_index) == [3, 3, 1]
 
 
@@ -166,7 +198,7 @@ def test_tie_rule_needs_center_in_relative_interior(points, expected):
     hypotenuse midpoint is where the edge and the triangle enter together,
     so it counts for neither.  The oracle agrees."""
     pts = np.asarray(points, dtype=float)
-    for result in (enumerate_global(pts), enumerate_brute(pts, GLOBAL)):
+    for result in (enumerate_grid(pts, GLOBAL), enumerate_brute(pts, GLOBAL)):
         cc = counts(result, len(pts), GLOBAL, 2)
         assert list(cc.by_index) == expected
         assert cc.alternating_sum() == 1
@@ -216,7 +248,7 @@ def test_coincident_points_raise_a_named_error():
         with pytest.raises(DegenerateConfiguration, match="coincide"):
             enumerate_brute(pts, eps)
     with pytest.raises(DegenerateConfiguration):
-        enumerate_global(np.vstack([pts[:2], [(1.0, 1.0)]]))
+        enumerate_grid(np.vstack([pts[:2], [(1.0, 1.0)]]), GLOBAL)
     assert euler_characteristic(build_cech(pts, 0.6)) == 1
 
 
@@ -309,7 +341,7 @@ def test_each_path_makes_one_pair_query(monkeypatch, caplog):
 
 
 def test_collinear_four_points_global_counts():
-    cps = enumerate_global(cloud_of([(0, 0), (1, 0), (2, 0), (3, 0)]))
+    cps = enumerate_grid(cloud_of([(0, 0), (1, 0), (2, 0), (3, 0)]), GLOBAL)
     assert list(counts(cps, 4, GLOBAL, 2).by_index) == [4, 3, 0]
 
 
@@ -317,13 +349,13 @@ def test_integer_lattice_global_counts():
     """4x4 lattice: 24 unit edges, and one merged maximum per unit square
     from its two diagonals and four right triangles."""
     pts = [(x, y) for x in range(4) for y in range(4)]
-    cc = counts(enumerate_global(cloud_of(pts)), 16, GLOBAL, 2)
+    cc = counts(enumerate_grid(cloud_of(pts), GLOBAL), 16, GLOBAL, 2)
     assert list(cc.by_index) == [16, 24, 9]
     assert cc.alternating_sum() == 1
 
 
 def test_obtuse_triangle_has_no_maximum():
-    cps = enumerate_global(cloud_of([(0, 0), (1, 0), (0.5, 0.1)]))
+    cps = enumerate_grid(cloud_of([(0, 0), (1, 0), (0.5, 0.1)]), GLOBAL)
     cc = counts(cps, 3, GLOBAL, 2)
     assert list(cc.by_index) == [3, 2, 0]
 
@@ -527,7 +559,7 @@ def test_tie_resolution_does_not_depend_on_row_order(case, monkeypatch):
         runs = [lambda: enumerate_grid(pts, 500 ** -0.5)]
     else:
         pts = _rings(int(case.split("-")[1]))
-        runs = [lambda: enumerate_global(pts), lambda: enumerate_brute(pts)]
+        runs = [lambda: enumerate_grid(pts, GLOBAL), lambda: enumerate_brute(pts)]
     plain = [run() for run in runs]
     resolve, rng = enumeration._resolve_ties, substream(124, 1)
 
@@ -587,7 +619,7 @@ def test_one_dimensional_cloud():
     cc = counts(enumerate_grid(cloud, 0.05), 1000, 0.05, 1)
     assert list(cc.by_index) == [1000, 999]
     assert cc.by_index[1] == count_index1(cloud.points, 0.05)
-    cc = counts(enumerate_global(cloud.points[:50]), 50, GLOBAL, 1)
+    cc = counts(enumerate_grid(cloud.points[:50], GLOBAL), 50, GLOBAL, 1)
     assert list(cc.by_index) == [50, 49]
 
 
@@ -596,7 +628,7 @@ def test_global_alternating_sum_random():
         rng = substream(102, trial)
         d = 2 + trial % 2
         cloud = sample_iid(uniform_box(d), int(rng.integers(2, 20)), rng)
-        cc = counts(enumerate_global(cloud), cloud.n, GLOBAL, d)
+        cc = counts(enumerate_grid(cloud, GLOBAL), cloud.n, GLOBAL, d)
         assert cc.alternating_sum() == 1
 
 
@@ -618,7 +650,7 @@ def test_radius_at_diameter_equals_global():
         max(np.linalg.norm(p - q) for p in cloud.points for q in cloud.points)
     )
     at_diam = enumerate_grid(cloud, diam)
-    global_ = enumerate_global(cloud)
+    global_ = enumerate_grid(cloud, GLOBAL)
     assert _multiset(at_diam) == _multiset(global_)
 
 
@@ -662,7 +694,7 @@ def test_tree_layout_changes_no_output(monkeypatch):
         (pts, lambda: tiled(r), r, 0.7 * r),
         (pts3, lambda: enumerate_grid(pts3, 0.12), 0.12, 0.08),
         (lattice, lambda: enumerate_grid(lattice, 1.1), 1.1, 0.75),
-        (rings, lambda: enumerate_global(rings), GLOBAL, 1.5),
+        (rings, lambda: enumerate_grid(rings, GLOBAL), GLOBAL, 1.5),
     ]
 
     def outputs():
@@ -907,10 +939,15 @@ def test_global_brute_cap():
         enumerate_brute(cloud, GLOBAL)
 
 
-def test_global_cap():
+def test_global_cap(monkeypatch):
+    """Both global spellings refuse a cloud above the cap read at call
+    time; a finite eps does not."""
     cloud = sample_iid(uniform_box(2), 50, substream(108, 2))
-    with pytest.raises(GlobalCapExceeded):
-        enumerate_global(cloud, cap=10)
+    monkeypatch.setattr(enumeration, "GLOBAL_CAP", 10)
+    for eps in (None, GLOBAL):
+        with pytest.raises(GlobalCapExceeded, match="n=50 exceeds global cap 10"):
+            enumerate_grid(cloud, eps)
+    assert len(enumerate_grid(cloud, 0.1)) > 50
 
 
 # ------------------------------------------------------------- serialization

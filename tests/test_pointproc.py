@@ -6,9 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from randcech.geometry import unit_ball_volume
 from randcech.pointproc import (
-    PointCloud,
     builtin_densities,
     isotropic_gaussian,
     load_cloud_binary,

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from randcech.pointproc import make_density, substream, uniform_ball, uniform_box
+from randcech.pointproc import substream, uniform_ball, uniform_box
 from randcech.theory import (
     Estimate,
     RegimeSpec,
